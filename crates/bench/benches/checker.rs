@@ -23,11 +23,7 @@ fn bench_strategies() {
         bmc::barrel(8, 10),
     ] {
         let trace = trace_of(&inst);
-        for strategy in [
-            Strategy::DepthFirst,
-            Strategy::BreadthFirst,
-            Strategy::Hybrid,
-        ] {
+        for strategy in Strategy::ALL {
             bench(&format!("check/{strategy}/{}", inst.name), || {
                 check_unsat_claim(&inst.cnf, &trace, strategy, &CheckConfig::default())
                     .expect("genuine trace");

@@ -15,7 +15,7 @@
 
 use rescheck_bench::micro::bench;
 use rescheck_bench::report::{take_json_flag, write_json, SCHEMA};
-use rescheck_checker::{normalize_literals, resolve_sorted, KernelMode, ResolutionKernel};
+use rescheck_checker::{normalize_literals, resolve_sorted, ResolutionKernel};
 use rescheck_cnf::Lit;
 use rescheck_obs::Json;
 use std::path::Path;
@@ -35,12 +35,8 @@ struct Chain {
 /// Pivot variables are 1..=k; antecedent `i` is
 /// `(¬p_i ∨ p_{i+1} ∨ f_1 … f_width)` with globally fresh `f_j`, so the
 /// accumulator keeps every deposited literal and ends `k·width + 1`
-/// literals wide. `stride` spaces the fresh variables apart: at 1 the
-/// mark stores stay cache-resident (the regime where the extra SWAR
-/// masking is pure overhead); large strides model big-instance variable
-/// spaces where every probe is a potential miss and the 4×-denser
-/// packed store earns its keep.
-fn make_chain(k: usize, width: usize, stride: i64) -> Chain {
+/// literals wide.
+fn make_chain(k: usize, width: usize) -> Chain {
     let pivot = |i: usize| Lit::from_dimacs(i as i64);
     let mut next_fresh = k as i64 + 1;
     let seed = normalize_literals(vec![pivot(1)]);
@@ -52,16 +48,12 @@ fn make_chain(k: usize, width: usize, stride: i64) -> Chain {
         }
         for _ in 0..width {
             lits.push(Lit::from_dimacs(next_fresh));
-            next_fresh += stride;
+            next_fresh += 1;
         }
         ants.push(normalize_literals(lits));
     }
     Chain {
-        name: if stride == 1 {
-            format!("chain{k}x{width}")
-        } else {
-            format!("chain{k}x{width}s{stride}")
-        },
+        name: format!("chain{k}x{width}"),
         antecedents: k,
         width,
         seed,
@@ -90,20 +82,13 @@ fn main() {
     let json_path = take_json_flag(&mut args);
 
     // Long chains with narrow and wide clauses: the acceptance scenario
-    // (≥ 64 antecedents) plus a longer and a wider variant, and a
-    // scattered-variable variant whose mark stores exceed the fast
-    // caches (the SWAR layout's target regime).
-    let scenarios = [
-        (64usize, 8usize, 1i64),
-        (256, 8, 1),
-        (64, 32, 1),
-        (256, 8, 512),
-    ];
+    // (≥ 64 antecedents) plus a longer and a wider variant.
+    let scenarios = [(64usize, 8usize), (256, 8), (64, 32)];
     let mut rows: Vec<Json> = Vec::new();
     let mut kernel = ResolutionKernel::new();
 
-    for (k, width, stride) in scenarios {
-        let chain = make_chain(k, width, stride);
+    for (k, width) in scenarios {
+        let chain = make_chain(k, width);
         // Sanity: both paths agree before anything is timed.
         let expected = run_oracle(&chain);
         kernel.begin(&chain.seed);
@@ -118,17 +103,8 @@ fn main() {
         let kernel_summary = bench(&format!("resolve/kernel/{}", chain.name), || {
             std::hint::black_box(run_kernel(&mut kernel, &chain));
         });
-        // The same fold with the SWAR probe loops disabled, isolating
-        // what the 4-lane packed mark-array scan buys on this shape.
-        let mut scalar = ResolutionKernel::with_mode(KernelMode::Scalar);
-        let scalar_summary = bench(&format!("resolve/kernel-scalar/{}", chain.name), || {
-            std::hint::black_box(run_kernel(&mut scalar, &chain));
-        });
         let speedup = oracle.median.as_secs_f64() / kernel_summary.median.as_secs_f64().max(1e-12);
-        let swar_speedup =
-            scalar_summary.median.as_secs_f64() / kernel_summary.median.as_secs_f64().max(1e-12);
         println!("resolve/speedup/{}: {speedup:.2}x", chain.name);
-        println!("resolve/swar-speedup/{}: {swar_speedup:.2}x", chain.name);
 
         let mut row = Json::object();
         row.set("name", chain.name.as_str())
@@ -137,12 +113,7 @@ fn main() {
             .set("resolvent_len", expected.len())
             .set("oracle_median_seconds", oracle.median.as_secs_f64())
             .set("kernel_median_seconds", kernel_summary.median.as_secs_f64())
-            .set(
-                "kernel_scalar_median_seconds",
-                scalar_summary.median.as_secs_f64(),
-            )
-            .set("speedup", speedup)
-            .set("swar_speedup", swar_speedup);
+            .set("speedup", speedup);
         rows.push(row);
     }
 
@@ -150,6 +121,12 @@ fn main() {
         let mut doc = Json::object();
         doc.set("schema", SCHEMA)
             .set("command", "bench:resolve")
+            .set(
+                "available_parallelism",
+                std::thread::available_parallelism()
+                    .map(|n| n.get() as u64)
+                    .unwrap_or(1),
+            )
             .set("rows", Json::Array(rows));
         write_json(Path::new(&path), &doc).expect("write json");
         println!("wrote {path}");

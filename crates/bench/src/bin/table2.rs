@@ -6,11 +6,7 @@
 //! ```
 //!
 //! Columns mirror the paper: trace size, depth-first clauses built /
-//! built% / runtime / peak memory, breadth-first runtime / peak memory —
-//! plus a third block for the *hybrid* strategy (the on-disk depth-first
-//! design the paper's conclusion proposes, implemented here) and a
-//! fourth for the racing *portfolio* (DF vs BF concurrently, first
-//! success wins — it survives any budget either racer survives).
+//! built% / runtime / peak memory, breadth-first runtime / peak memory.
 //!
 //! A `*` marks a memory-out under the budget (the paper used 800 MB on
 //! gigabyte-era traces; pass a byte budget to reproduce the effect at
@@ -19,11 +15,10 @@
 //!
 //! Expected shape (paper §4): depth-first is faster and builds only part
 //! of the learned clauses, but dies first under a budget; breadth-first
-//! finishes everything; the hybrid matches depth-first's built count at
-//! breadth-first-like memory; checking is always much cheaper than
-//! solving; binary traces are 2-3x smaller than ASCII.
+//! finishes everything; checking is always much cheaper than solving;
+//! binary traces are 2-3x smaller than ASCII.
 
-use rescheck_bench::{fmt_kb, fmt_secs, measure_check, measure_check_jobs, measure_solve, report};
+use rescheck_bench::{fmt_kb, fmt_secs, measure_check, measure_solve, report};
 use rescheck_checker::Strategy;
 use rescheck_obs::{Json, Registry};
 use rescheck_solver::SolverConfig;
@@ -41,7 +36,7 @@ fn main() {
     let mem_limit = mem_limit.or(Some(16 << 20));
 
     println!(
-        "{:<34} {:>9} {:>9} | {:>8} {:>6} {:>8} {:>9} | {:>8} {:>9} | {:>8} {:>9} | {:>8} {:>9}",
+        "{:<34} {:>9} {:>9} | {:>8} {:>6} {:>8} {:>9} | {:>8} {:>9}",
         "Instance",
         "Ascii(KB)",
         "Bin(KB)",
@@ -50,34 +45,23 @@ fn main() {
         "DF t(s)",
         "DF m(KB)",
         "BF t(s)",
-        "BF m(KB)",
-        "Hy t(s)",
-        "Hy m(KB)",
-        "Pf t(s)",
-        "Pf m(KB)"
+        "BF m(KB)"
     );
-    println!("{}", "-".repeat(155));
+    println!("{}", "-".repeat(111));
 
     let cfg = SolverConfig::default();
-    let mut totals = [0.0f64; 5]; // solve, df, bf, hybrid, portfolio
+    let mut totals = [0.0f64; 3]; // solve, df, bf
     let mut rows: Vec<Json> = Vec::new();
     for instance in paper_suite() {
         let solve = measure_solve(&instance, &cfg);
         totals[0] += solve.time_trace_on.as_secs_f64();
         let df = measure_check(&solve, Strategy::DepthFirst, mem_limit);
         let bf = measure_check(&solve, Strategy::BreadthFirst, mem_limit);
-        let hy = measure_check(&solve, Strategy::Hybrid, mem_limit);
-        // The racing portfolio never memory-outs where breadth-first
-        // survives: its column shows what the race costs (and that under
-        // the budget it converges on the surviving racer's peak).
-        let pf = measure_check_jobs(&solve, Strategy::Portfolio, mem_limit, 0);
 
         let mut row = Json::object();
         row.set("instance", report::instance_json(&solve))
             .set("depth_first", report::check_report_json(&df))
-            .set("breadth_first", report::check_report_json(&bf))
-            .set("hybrid", report::check_report_json(&hy))
-            .set("portfolio", report::check_report_json(&pf));
+            .set("breadth_first", report::check_report_json(&bf));
         rows.push(row);
 
         let (df_built, df_pct, df_time, df_mem) = match &df.outcome {
@@ -92,20 +76,16 @@ fn main() {
             }
             Err(_) => ("*".into(), "*".into(), "*".into(), "*".into()),
         };
-        let mut time_mem = |which: usize, outcome: &Result<_, _>| match outcome {
+        let (bf_time, bf_mem) = match &bf.outcome {
             Ok(o) => {
-                let o: &rescheck_checker::CheckOutcome = o;
-                totals[which] += o.stats.runtime.as_secs_f64();
+                totals[2] += o.stats.runtime.as_secs_f64();
                 (fmt_secs(o.stats.runtime), fmt_kb(o.stats.peak_memory_bytes))
             }
             Err(_) => ("*".to_string(), "*".to_string()),
         };
-        let (bf_time, bf_mem) = time_mem(2, &bf.outcome);
-        let (hy_time, hy_mem) = time_mem(3, &hy.outcome);
-        let (pf_time, pf_mem) = time_mem(4, &pf.outcome);
 
         println!(
-            "{:<34} {:>9} {:>9} | {:>8} {:>6} {:>8} {:>9} | {:>8} {:>9} | {:>8} {:>9} | {:>8} {:>9}",
+            "{:<34} {:>9} {:>9} | {:>8} {:>6} {:>8} {:>9} | {:>8} {:>9}",
             solve.name,
             fmt_kb(solve.trace_ascii_bytes),
             fmt_kb(solve.trace_binary_bytes),
@@ -114,29 +94,21 @@ fn main() {
             df_time,
             df_mem,
             bf_time,
-            bf_mem,
-            hy_time,
-            hy_mem,
-            pf_time,
-            pf_mem
+            bf_mem
         );
     }
-    println!("{}", "-".repeat(155));
+    println!("{}", "-".repeat(111));
     println!(
-        "totals: solve {:.3}s | depth-first {:.3}s | breadth-first {:.3}s | hybrid {:.3}s | \
-         portfolio {:.3}s   (memory budget: {} bytes; * = memory out)",
+        "totals: solve {:.3}s | depth-first {:.3}s | breadth-first {:.3}s   \
+         (memory budget: {} bytes; * = memory out)",
         totals[0],
         totals[1],
         totals[2],
-        totals[3],
-        totals[4],
         mem_limit.map_or("none".into(), |m| m.to_string()),
     );
     println!();
     println!(
         "Paper shape: DF faster than BF but memory-hungry (and * on the biggest rows); \
-         hybrid = DF's built count at BF-like memory (the paper's proposed future work); \
-         portfolio races DF vs BF and never stars where either survives; \
          checking ≪ solving; binary trace 2-3x smaller than ASCII."
     );
 
@@ -150,9 +122,7 @@ fn main() {
             .set("memory_limit", limit)
             .set("total_solve_seconds", totals[0])
             .set("total_depth_first_seconds", totals[1])
-            .set("total_breadth_first_seconds", totals[2])
-            .set("total_hybrid_seconds", totals[3])
-            .set("total_portfolio_seconds", totals[4]);
+            .set("total_breadth_first_seconds", totals[2]);
         report::write_json(std::path::Path::new(&path), &doc).expect("write --json output");
         eprintln!("metrics written to {path}");
     }

@@ -2,26 +2,23 @@
 //! claim and verify they tell a consistent story.
 //!
 //! The paper's trust argument rests on the checker being simpler than the
-//! solver — but this repo now ships *seven* strategies sharing a hot path,
-//! and a bug in any one of them would silently weaken that argument. This
+//! solver — but this repo ships four strategies sharing a hot path, and a
+//! bug in any one of them would silently weaken that argument. This
 //! module turns the strategies against each other: on a valid trace all
-//! seven must accept with class-identical statistics
+//! four must accept with class-identical statistics
 //! ([`verify_valid_agreement`]); on an arbitrary — possibly corrupted —
 //! trace the cross-strategy implications that hold by construction must
 //! still hold ([`verify_cross_consistency`]):
 //!
 //! - depth-first and disk-backed depth-first are the *same traversal* and
 //!   must agree bit-for-bit, down to the failure diagnostic;
-//! - breadth-first and parallel breadth-first run the same per-event code
-//!   path and must agree bit-for-bit;
 //! - the parallel-dag executor verifies the same full set of learned
 //!   clauses as breadth-first and must agree with it on the verdict and
 //!   the work counters, for any worker count;
-//! - hybrid verifies the same needed subset as depth-first;
 //! - breadth-first validates a superset of what depth-first validates, so
-//!   a breadth-first accept implies a depth-first accept;
-//! - the portfolio races depth-first against breadth-first, so it accepts
-//!   exactly when one of its racers does.
+//!   a breadth-first accept implies a depth-first accept — the paper's
+//!   two independent traversals (§3.2 on demand, §3.3 forward) checking
+//!   each other.
 //!
 //! Each strategy runs under [`std::panic::catch_unwind`], so a panicking
 //! strategy is reported as a [`StrategyRun::Panicked`] disagreement
@@ -35,17 +32,6 @@ use rescheck_trace::RandomAccessTrace;
 use std::error::Error;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// Every checking strategy, in the fixed order the oracle runs them.
-pub const ALL_STRATEGIES: [Strategy; 7] = [
-    Strategy::DepthFirst,
-    Strategy::BreadthFirst,
-    Strategy::Hybrid,
-    Strategy::Portfolio,
-    Strategy::ParallelBf,
-    Strategy::DiskDepthFirst,
-    Strategy::ParallelDag,
-];
 
 /// What one strategy did with the claim.
 #[derive(Debug)]
@@ -98,9 +84,9 @@ pub struct StrategyReport {
     pub run: StrategyRun,
 }
 
-/// Runs all seven strategies on the same claim, capturing panics.
+/// Runs every strategy on the same claim, capturing panics.
 ///
-/// The strategies run sequentially in [`ALL_STRATEGIES`] order, each with
+/// The strategies run sequentially in [`Strategy::ALL`] order, each with
 /// a fresh clone of `config`, so a cancellation or memory accounting
 /// artifact of one run cannot leak into the next.
 pub fn run_all_strategies<S: RandomAccessTrace + Sync + ?Sized>(
@@ -108,7 +94,7 @@ pub fn run_all_strategies<S: RandomAccessTrace + Sync + ?Sized>(
     trace: &S,
     config: &CheckConfig,
 ) -> Vec<StrategyReport> {
-    ALL_STRATEGIES
+    Strategy::ALL
         .iter()
         .map(|&strategy| {
             let result = catch_unwind(AssertUnwindSafe(|| {
@@ -160,7 +146,7 @@ fn disagree(kind: &'static str, detail: String) -> Disagreement {
 pub struct AgreementSummary {
     /// Learned clauses every strategy saw in the trace.
     pub learned_in_trace: u64,
-    /// Clauses the needed-subset strategies (df/hybrid/dfd) built.
+    /// Clauses the needed-subset strategies (df/dfd) built.
     pub needed_built: u64,
     /// Resolution steps of the depth-first traversal.
     pub df_resolutions: u64,
@@ -211,8 +197,7 @@ pub fn verify_synthesized_trace(
 
 /// Verifies the oracle matrix of a trace that *should* be valid: every
 /// strategy accepts, and the statistics agree within each equivalence
-/// class (df = hybrid = dfd on the needed subset, bf = pbf = pdag on the
-/// full trace, the portfolio's winner matching one of its racers).
+/// class (df = dfd on the needed subset, bf = pdag on the full trace).
 ///
 /// # Errors
 ///
@@ -238,18 +223,12 @@ pub fn verify_valid_agreement(
     };
     let df = outcome(Strategy::DepthFirst)?;
     let bf = outcome(Strategy::BreadthFirst)?;
-    let hybrid = outcome(Strategy::Hybrid)?;
-    let portfolio = outcome(Strategy::Portfolio)?;
-    let pbf = outcome(Strategy::ParallelBf)?;
     let dfd = outcome(Strategy::DiskDepthFirst)?;
     let pdag = outcome(Strategy::ParallelDag)?;
 
     // Everyone parsed the same trace.
     for (name, o) in [
         ("breadth-first", bf),
-        ("hybrid", hybrid),
-        ("portfolio", portfolio),
-        ("parallel-bf", pbf),
         ("disk-depth-first", dfd),
         ("parallel-dag", pdag),
     ] {
@@ -279,59 +258,19 @@ pub fn verify_valid_agreement(
             ),
         ));
     }
-    // Hybrid pins every learned level-0 antecedent up front, while
-    // depth-first materialises only the ones the final derivation
-    // consumes — so hybrid verifies a (possibly strict) superset of
-    // df's needed clauses, and at most what breadth-first builds.
-    if hybrid.stats.clauses_built < df.stats.clauses_built
-        || hybrid.stats.clauses_built > bf.stats.clauses_built
-        || hybrid.stats.resolutions < df.stats.resolutions
-        || hybrid.stats.resolutions > bf.stats.resolutions
-    {
-        return Err(disagree(
-            "stats-mismatch",
-            format!(
-                "hybrid built {}/{} resolutions outside the df..bf envelope ({}/{} .. {}/{})",
-                hybrid.stats.clauses_built,
-                hybrid.stats.resolutions,
-                df.stats.clauses_built,
-                df.stats.resolutions,
-                bf.stats.clauses_built,
-                bf.stats.resolutions
-            ),
-        ));
-    }
     if dfd.core != df.core {
         return Err(disagree(
             "stats-mismatch",
             "disk-depth-first derived a different unsat core than depth-first".to_string(),
         ));
     }
-    // Breadth-first builds every learned clause; its parallel variant is
-    // bit-identical to it.
+    // Breadth-first builds every learned clause.
     if bf.stats.clauses_built != bf.stats.learned_in_trace {
         return Err(disagree(
             "stats-mismatch",
             format!(
                 "breadth-first built {} of {} learned clauses (must build all)",
                 bf.stats.clauses_built, bf.stats.learned_in_trace
-            ),
-        ));
-    }
-    if pbf.stats.clauses_built != bf.stats.clauses_built
-        || pbf.stats.resolutions != bf.stats.resolutions
-        || pbf.stats.peak_memory_bytes != bf.stats.peak_memory_bytes
-    {
-        return Err(disagree(
-            "stats-mismatch",
-            format!(
-                "parallel-bf ({}/{}/{} peak) diverges from breadth-first ({}/{}/{} peak)",
-                pbf.stats.clauses_built,
-                pbf.stats.resolutions,
-                pbf.stats.peak_memory_bytes,
-                bf.stats.clauses_built,
-                bf.stats.resolutions,
-                bf.stats.peak_memory_bytes
             ),
         ));
     }
@@ -349,18 +288,6 @@ pub fn verify_valid_agreement(
                 pdag.stats.resolutions,
                 bf.stats.clauses_built,
                 bf.stats.resolutions
-            ),
-        ));
-    }
-    // The portfolio's winner is one of its racers.
-    if portfolio.stats.resolutions != df.stats.resolutions
-        && portfolio.stats.resolutions != bf.stats.resolutions
-    {
-        return Err(disagree(
-            "stats-mismatch",
-            format!(
-                "portfolio reports {} resolutions, matching neither df ({}) nor bf ({})",
-                portfolio.stats.resolutions, df.stats.resolutions, bf.stats.resolutions
             ),
         ));
     }
@@ -383,16 +310,10 @@ pub fn verify_valid_agreement(
 ///   as disagreements);
 /// - depth-first and disk-backed depth-first agree bit-for-bit, down to
 ///   the failure diagnostic text;
-/// - breadth-first, parallel breadth-first and parallel-dag agree the
-///   same way;
+/// - breadth-first and parallel-dag agree the same way;
 /// - acceptance respects what each strategy verifies: a breadth-first
-///   accept and a hybrid accept each imply a depth-first accept (both
-///   verify a superset of depth-first's needed clauses; bf and hybrid
-///   themselves are incomparable — bf alone sees defects in unneeded
-///   learned clauses, hybrid alone sees dangling level-0 antecedents
-///   the final derivation never consumes);
-/// - the portfolio accepts exactly when depth-first or breadth-first
-///   accepts.
+///   accept implies a depth-first accept (bf verifies a superset of
+///   depth-first's needed clauses).
 ///
 /// # Errors
 ///
@@ -416,9 +337,6 @@ pub fn verify_cross_consistency(reports: &[StrategyReport]) -> Result<(), Disagr
     }
     let df = require(reports, Strategy::DepthFirst)?;
     let bf = require(reports, Strategy::BreadthFirst)?;
-    let hybrid = require(reports, Strategy::Hybrid)?;
-    let portfolio = require(reports, Strategy::Portfolio)?;
-    let pbf = require(reports, Strategy::ParallelBf)?;
     let dfd = require(reports, Strategy::DiskDepthFirst)?;
     let pdag = require(reports, Strategy::ParallelDag)?;
 
@@ -426,7 +344,6 @@ pub fn verify_cross_consistency(reports: &[StrategyReport]) -> Result<(), Disagr
     // accept, same work counters.
     for (a_name, a, b_name, b) in [
         ("depth-first", df, "disk-depth-first", dfd),
-        ("breadth-first", bf, "parallel-bf", pbf),
         ("breadth-first", bf, "parallel-dag", pdag),
     ] {
         if a.verdict() != b.verdict() {
@@ -459,36 +376,15 @@ pub fn verify_cross_consistency(reports: &[StrategyReport]) -> Result<(), Disagr
     // Depth-first verifies the least: the clauses reachable from the
     // final conflict plus the level-0 antecedents the final derivation
     // actually consumes. Breadth-first additionally verifies every
-    // learned clause; hybrid additionally verifies every pinned level-0
-    // antecedent (eagerly, including its existence). So bf-accept and
-    // hybrid-accept each imply df-accept — but bf and hybrid are
-    // *incomparable*: a defect in an unneeded learned clause is visible
-    // only to bf, while a dangling level-0 antecedent the derivation
-    // never consumes is visible only to hybrid.
-    for (strong_name, strong, weak_name, weak) in [
-        ("breadth-first", bf, "depth-first", df),
-        ("hybrid", hybrid, "depth-first", df),
-    ] {
-        if strong.accepted() && !weak.accepted() {
-            return Err(disagree(
-                "implication-violated",
-                format!(
-                    "{strong_name} accepted but {weak_name} rejected: {:?}",
-                    weak.verdict()
-                ),
-            ));
-        }
-    }
-    // The portfolio accepts exactly when one of its racers does.
-    let racer_accepts = df.accepted() || bf.accepted();
-    if portfolio.accepted() != racer_accepts {
+    // learned clause, so a bf accept implies a df accept (not the
+    // converse: a defect in an unneeded learned clause is visible only
+    // to bf).
+    if bf.accepted() && !df.accepted() {
         return Err(disagree(
-            "verdict-mismatch",
+            "implication-violated",
             format!(
-                "portfolio said {:?} while df said {:?} and bf said {:?}",
-                portfolio.verdict(),
-                df.verdict(),
-                bf.verdict()
+                "breadth-first accepted but depth-first rejected: {:?}",
+                df.verdict()
             ),
         ));
     }
@@ -515,10 +411,10 @@ mod tests {
     }
 
     #[test]
-    fn valid_trace_agrees_seven_ways() {
+    fn valid_trace_agrees_four_ways() {
         let (cnf, trace) = unsat_fixture();
         let reports = run_all_strategies(&cnf, &trace, &CheckConfig::default());
-        assert_eq!(reports.len(), 7);
+        assert_eq!(reports.len(), 4);
         let summary = verify_valid_agreement(&reports).unwrap();
         assert!(summary.learned_in_trace >= summary.needed_built);
         verify_cross_consistency(&reports).unwrap();

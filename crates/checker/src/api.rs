@@ -32,23 +32,22 @@ pub struct CheckConfig {
     /// The paper ran both checkers with an 800 MB limit, under which the
     /// depth-first strategy fails on the largest instances (Table 2).
     pub memory_limit: Option<u64>,
-    /// Worker threads for [`Strategy::ParallelBf`]'s sharded counting
-    /// pass and [`Strategy::ParallelDag`]'s executor; `0` picks the
-    /// available parallelism (capped at 8). `ParallelDag` treats the
-    /// value as a cap and never runs more workers than the machine has
-    /// cores — extra threads cannot raise throughput and its stats are
-    /// identical for any worker count. Other strategies ignore it
-    /// ([`Strategy::Portfolio`] always races exactly two threads).
+    /// Worker threads for [`Strategy::ParallelDag`]'s sharded decode and
+    /// executor; `0` picks the available parallelism (capped at 8). The
+    /// value is a cap: the strategy never runs more workers than the
+    /// machine has cores — extra threads cannot raise throughput and its
+    /// stats are identical for any worker count. Other strategies ignore
+    /// it.
     pub jobs: usize,
-    /// Learned-clause estimate below which the parallel strategies fall
-    /// back to plain sequential breadth-first: thread spin-up and
+    /// Learned-clause estimate below which [`Strategy::ParallelDag`]
+    /// falls back to plain sequential breadth-first: thread spin-up and
     /// cross-shard merging cost more than they save on small traces
     /// (the reported strategy then says so). Set to `0` to always run
     /// parallel. The estimate comes from the encoded trace size; an
     /// unsized trace source never falls back.
     pub parallel_min_learned: usize,
     /// Cap in bytes on the cache of normalized *original* clauses kept by
-    /// the depth-first, hybrid and breadth-first final phases; `None` =
+    /// the depth-first and breadth-first final phases; `None` =
     /// uncapped. The cache is charged to the memory meter either way, but
     /// it only uses budget left over after required clauses — it evicts
     /// (oldest first) rather than ever causing a memory-out.
@@ -114,15 +113,7 @@ impl Default for CheckConfig {
 /// let mut trace = MemorySink::new();
 /// assert!(solver.solve_traced(&mut trace)?.is_unsat());
 ///
-/// for strategy in [
-///     Strategy::DepthFirst,
-///     Strategy::BreadthFirst,
-///     Strategy::Hybrid,
-///     Strategy::Portfolio,
-///     Strategy::ParallelBf,
-///     Strategy::DiskDepthFirst,
-///     Strategy::ParallelDag,
-/// ] {
+/// for strategy in Strategy::ALL {
 ///     check_unsat_claim(&cnf, &trace, strategy, &CheckConfig::default())?;
 /// }
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -138,11 +129,10 @@ pub fn check_unsat_claim<S: RandomAccessTrace + Sync + ?Sized>(
 
 /// [`check_unsat_claim`] with an [`Observer`] receiving phase timers
 /// (`check:pass1`, `check:resolve`, `final-phase`) nested under a
-/// per-strategy span (`check:df`, `check:bf`, `check:hybrid`,
-/// `check:portfolio`, `check:pbf`, `check:dfd`), resolution-shape
-/// histograms (`check.resolve.chain_len` — resolve sources per learned
-/// clause — and `check.resolve.clause_len` — literals in each stored
-/// resolvent), progress heartbeats
+/// per-strategy span (`check:df`, `check:bf`, `check:dfd`,
+/// `check:pdag`), resolution-shape histograms (`check.resolve.chain_len`
+/// — resolve sources per learned clause — and `check.resolve.clause_len`
+/// — literals in each stored resolvent), progress heartbeats
 /// and end-of-run gauges (`check.clauses_built`, `check.resolutions`,
 /// `check.use_count_entries`, `check.peak_memory_bytes`), plus the
 /// resolution hot path's own accounting: `check.kernel.chains`,
@@ -157,10 +147,9 @@ pub fn check_unsat_claim<S: RandomAccessTrace + Sync + ?Sized>(
 /// `check.dfd.cursor_reads` (positioned trace reads performed),
 /// `check.dfd.cache_hits` and `check.dfd.cache_bytes` (source-list cache
 /// effectiveness and residency). Strategies that establish a
-/// memory-mapped trace backing ([`Strategy::DiskDepthFirst`],
-/// [`Strategy::ParallelBf`], [`Strategy::ParallelDag`] on binary file
-/// traces) run it inside a `trace-map` phase and emit `check.map.bytes`
-/// (accounted map length) and `check.map.mmap` (1 for the `mmap`
+/// memory-mapped trace backing ([`Strategy::DiskDepthFirst`] and
+/// [`Strategy::ParallelDag`] on binary file traces) run it inside a
+/// `trace-map` phase and emit `check.map.bytes` (accounted map length) and `check.map.mmap` (1 for the `mmap`
 /// backing, 0 for the buffered fallback); the sharded mapped pass 1
 /// additionally reports `check.pass1.shards`.
 ///
@@ -186,7 +175,7 @@ pub fn check_unsat_claim<S: RandomAccessTrace + Sync + ?Sized>(
 ///
 /// let mut sink = MetricsSink::new();
 /// check_unsat_claim_observed(
-///     &cnf, &trace, Strategy::Hybrid, &CheckConfig::default(), &mut sink,
+///     &cnf, &trace, Strategy::DiskDepthFirst, &CheckConfig::default(), &mut sink,
 /// )?;
 /// assert!(sink.registry().phase_seconds("check:pass1").is_some());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -201,22 +190,10 @@ pub fn check_unsat_claim_observed<S: RandomAccessTrace + Sync + ?Sized>(
     // Every strategy runs inside a named span, so the metrics span tree
     // reads `<caller> > check:<strategy> > check:pass1/…`. The span is
     // stopped on the error path too — flight dumps see it close.
-    let name = match strategy {
-        Strategy::DepthFirst => "check:df",
-        Strategy::BreadthFirst => "check:bf",
-        Strategy::Hybrid => "check:hybrid",
-        Strategy::Portfolio => "check:portfolio",
-        Strategy::ParallelBf => "check:pbf",
-        Strategy::DiskDepthFirst => "check:dfd",
-        Strategy::ParallelDag => "check:pdag",
-    };
-    let mut span = Span::start(name, obs);
+    let mut span = Span::start(span_name(strategy), obs);
     let result = match strategy {
         Strategy::DepthFirst => crate::depth_first::run(cnf, trace, config, obs),
         Strategy::BreadthFirst => crate::breadth_first::run(cnf, trace, config, obs),
-        Strategy::Hybrid => crate::hybrid::run(cnf, trace, config, obs),
-        Strategy::Portfolio => crate::parallel::run_portfolio(cnf, trace, config, obs),
-        Strategy::ParallelBf => crate::parallel::run_parallel_bf(cnf, trace, config, obs),
         Strategy::DiskDepthFirst => crate::disk_df::run(cnf, trace, config, obs),
         Strategy::ParallelDag => crate::dag::run(cnf, trace, config, obs),
     };
@@ -224,17 +201,26 @@ pub fn check_unsat_claim_observed<S: RandomAccessTrace + Sync + ?Sized>(
     result
 }
 
+/// The span every check runs inside: `check:` plus the short name.
+fn span_name(strategy: Strategy) -> &'static str {
+    match strategy {
+        Strategy::DepthFirst => "check:df",
+        Strategy::BreadthFirst => "check:bf",
+        Strategy::DiskDepthFirst => "check:dfd",
+        Strategy::ParallelDag => "check:pdag",
+    }
+}
+
 /// [`check_unsat_claim_observed`] against caller-owned scratch buffers,
 /// for long-lived processes (the `rescheck serve` daemon) that run many
 /// checks and want to reuse the kernel, arena and original-clause cache
 /// across jobs instead of rebuilding them per job.
 ///
-/// The single-threaded strategies ([`Strategy::DepthFirst`] and
-/// [`Strategy::BreadthFirst`]) run against the provided
-/// [`CheckScratch`]; the other strategies spread state across threads
-/// and fall back to building their own, exactly like
-/// [`check_unsat_claim_observed`] — passing a scratch is never wrong,
-/// just not always a speedup.
+/// [`Strategy::DepthFirst`] and [`Strategy::BreadthFirst`] run against
+/// the provided [`CheckScratch`]; the other two strategies keep state of
+/// their own shape (an offset index, a dense DAG) and build it, exactly
+/// like [`check_unsat_claim_observed`] — passing a scratch is never
+/// wrong, just not always a speedup.
 ///
 /// Reported stats and accounted memory are bit-identical to the
 /// unscoped entry point: reuse trades allocator work, never accounting.
@@ -252,24 +238,12 @@ pub fn check_unsat_claim_scoped<S: RandomAccessTrace + Sync + ?Sized>(
     scratch: &mut CheckScratch,
     obs: &mut dyn Observer,
 ) -> Result<CheckOutcome, CheckError> {
-    let name = match strategy {
-        Strategy::DepthFirst => "check:df",
-        Strategy::BreadthFirst => "check:bf",
-        Strategy::Hybrid => "check:hybrid",
-        Strategy::Portfolio => "check:portfolio",
-        Strategy::ParallelBf => "check:pbf",
-        Strategy::DiskDepthFirst => "check:dfd",
-        Strategy::ParallelDag => "check:pdag",
-    };
-    let mut span = Span::start(name, obs);
+    let mut span = Span::start(span_name(strategy), obs);
     let result = match strategy {
         Strategy::DepthFirst => crate::depth_first::run_scoped(cnf, trace, config, scratch, obs),
         Strategy::BreadthFirst => {
             crate::breadth_first::run_scoped(cnf, trace, config, scratch, obs)
         }
-        Strategy::Hybrid => crate::hybrid::run(cnf, trace, config, obs),
-        Strategy::Portfolio => crate::parallel::run_portfolio(cnf, trace, config, obs),
-        Strategy::ParallelBf => crate::parallel::run_parallel_bf(cnf, trace, config, obs),
         Strategy::DiskDepthFirst => crate::disk_df::run(cnf, trace, config, obs),
         Strategy::ParallelDag => crate::dag::run(cnf, trace, config, obs),
     };
@@ -305,24 +279,6 @@ pub fn check_breadth_first<S: TraceSource + ?Sized>(
     crate::breadth_first::run(cnf, trace, config, &mut NullObserver)
 }
 
-/// Validates an UNSAT claim with the hybrid (on-disk depth-first)
-/// strategy — the paper's future-work design: needed-clauses-only like
-/// depth-first, bounded clause memory like breadth-first, with the trace
-/// left on disk and consulted by random access.
-///
-/// On success the outcome carries the unsatisfiable core.
-///
-/// # Errors
-///
-/// See [`check_unsat_claim`].
-pub fn check_hybrid<S: RandomAccessTrace + ?Sized>(
-    cnf: &Cnf,
-    trace: &S,
-    config: &CheckConfig,
-) -> Result<CheckOutcome, CheckError> {
-    crate::hybrid::run(cnf, trace, config, &mut NullObserver)
-}
-
 /// Validates an UNSAT claim with the disk-backed depth-first strategy:
 /// depth-first's on-demand traversal (needed clauses only, unsat core as
 /// a by-product) with the trace left on disk — one streaming pass builds
@@ -344,44 +300,6 @@ pub fn check_disk_depth_first<S: RandomAccessTrace + ?Sized>(
     config: &CheckConfig,
 ) -> Result<CheckOutcome, CheckError> {
     crate::disk_df::run(cnf, trace, config, &mut NullObserver)
-}
-
-/// Validates an UNSAT claim by racing the depth-first and breadth-first
-/// strategies on two threads; the first verdict wins and cancels the
-/// loser. Gives depth-first speed when memory allows and breadth-first
-/// robustness when it does not.
-///
-/// # Errors
-///
-/// See [`check_unsat_claim`]. If both racers fail, the more fundamental
-/// error is reported (a proof defect over a mere memory-out).
-pub fn check_portfolio<S: RandomAccessTrace + Sync + ?Sized>(
-    cnf: &Cnf,
-    trace: &S,
-    config: &CheckConfig,
-) -> Result<CheckOutcome, CheckError> {
-    crate::parallel::run_portfolio(cnf, trace, config, &mut NullObserver)
-}
-
-/// Validates an UNSAT claim with the parallel breadth-first strategy:
-/// pass 1's use counting is sharded across [`CheckConfig::jobs`] workers
-/// and pass 2 decodes the trace on a reader thread that runs ahead of the
-/// resolution loop. Returns bit-identical [`CheckStats::resolutions`] and
-/// [`CheckStats::clauses_built`] to [`check_breadth_first`], for any
-/// worker count.
-///
-/// [`CheckStats::resolutions`]: crate::CheckStats::resolutions
-/// [`CheckStats::clauses_built`]: crate::CheckStats::clauses_built
-///
-/// # Errors
-///
-/// See [`check_unsat_claim`].
-pub fn check_parallel_bf<S: RandomAccessTrace + Sync + ?Sized>(
-    cnf: &Cnf,
-    trace: &S,
-    config: &CheckConfig,
-) -> Result<CheckOutcome, CheckError> {
-    crate::parallel::run_parallel_bf(cnf, trace, config, &mut NullObserver)
 }
 
 /// Validates an UNSAT claim with the parallel-dag strategy: the trace's

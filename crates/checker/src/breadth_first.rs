@@ -12,11 +12,10 @@
 //! As a side effect, the breadth-first strategy verifies *every* learned
 //! clause, not just those on the proof path.
 //!
-//! Both passes are factored into reusable pieces — [`Pass1Tables`] and
-//! [`BfResolveState`] — shared verbatim with the parallel breadth-first
-//! checker in [`crate::parallel`]; running the identical per-event code
-//! is what makes the parallel statistics bit-identical to the sequential
-//! ones.
+//! Pass 1's tables ([`Pass1Tables`]) are shared verbatim with the
+//! parallel-dag strategy, whose sharded pass 1 in [`crate::shard`] merges
+//! into the same methods; that is what makes its malformed-trace errors
+//! identical to the sequential ones.
 
 use crate::api::CheckConfig;
 use crate::arena::ClauseArena;
@@ -35,7 +34,7 @@ use crate::resolve::normalize_literals;
 use crate::scratch::{kernel_stats_since, CheckScratch};
 use rescheck_cnf::{Cnf, Lit};
 use rescheck_obs::{Event, Observer, Phase};
-use rescheck_trace::{EventRef, TraceEvent, TraceSource};
+use rescheck_trace::{EventRef, TraceSource};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -45,7 +44,7 @@ use std::time::Instant;
 ///
 /// The `absorb_*` methods perform the per-event validation in trace
 /// order. The sequential pass calls them directly; the sharded pass of
-/// [`crate::parallel`] replays compact per-event records through the
+/// [`crate::shard`] replays compact per-event records through the
 /// same methods after merging, so both reject a malformed trace with the
 /// identical first error.
 #[derive(Default)]
@@ -170,13 +169,12 @@ pub(crate) fn sequential_pass1<S: TraceSource + ?Sized>(
 
 /// The resolution pass (pass 2) plus the final empty-clause phase.
 ///
-/// Feed it every trace event in order via [`handle_event`], then call
-/// [`into_outcome`]. The parallel checker drives the same state from a
-/// pipelined reader thread.
+/// Feed it every learned record in order via [`handle_learned`], then
+/// call [`into_outcome`].
 ///
-/// [`handle_event`]: BfResolveState::handle_event
+/// [`handle_learned`]: BfResolveState::handle_learned
 /// [`into_outcome`]: BfResolveState::into_outcome
-pub(crate) struct BfResolveState<'a> {
+struct BfResolveState<'a> {
     cnf: &'a Cnf,
     num_original: usize,
     tables: Pass1Tables,
@@ -195,7 +193,7 @@ pub(crate) struct BfResolveState<'a> {
 }
 
 impl<'a> BfResolveState<'a> {
-    pub(crate) fn new(
+    fn new(
         cnf: &'a Cnf,
         tables: Pass1Tables,
         meter: MemoryMeter,
@@ -279,25 +277,9 @@ impl<'a> BfResolveState<'a> {
         Ok(())
     }
 
-    /// Processes one trace event of the resolution pass. Non-`Learned`
-    /// events are ignored (pass 1 already consumed them).
-    pub(crate) fn handle_event(
-        &mut self,
-        event: &TraceEvent,
-        obs: &mut dyn Observer,
-    ) -> Result<(), CheckError> {
-        let TraceEvent::Learned { id, sources } = event else {
-            return Ok(());
-        };
-        self.handle_learned(*id, sources, obs)
-    }
-
-    /// Rebuilds one learned clause from a borrowed source list — the
-    /// allocation-free core of [`handle_event`], called directly by the
-    /// streaming visitor of [`run`].
-    ///
-    /// [`handle_event`]: BfResolveState::handle_event
-    pub(crate) fn handle_learned(
+    /// Rebuilds one learned clause from a borrowed source list; called
+    /// by the streaming visitor of [`run`] for every learned record.
+    fn handle_learned(
         &mut self,
         id: u64,
         sources: &[u64],
@@ -352,7 +334,7 @@ impl<'a> BfResolveState<'a> {
     }
 
     /// Runs the final empty-clause phase and assembles the outcome.
-    pub(crate) fn into_outcome(
+    fn into_outcome(
         mut self,
         start_id: u64,
         strategy: Strategy,

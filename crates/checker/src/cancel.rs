@@ -1,8 +1,9 @@
 //! Cooperative cancellation of a running check.
 //!
-//! The racing portfolio ([`crate::Strategy::Portfolio`]) runs two
-//! strategies concurrently and stops the loser the moment the winner
-//! finishes. There is no safe way to kill a thread, so cancellation is
+//! A long-lived caller — the `rescheck serve` daemon's watchdog above
+//! all — must be able to stop a check that overruns its deadline, and
+//! the parallel-dag executor must stop its workers once one of them
+//! fails. There is no safe way to kill a thread, so cancellation is
 //! cooperative: each strategy polls a shared flag at its progress-stride
 //! points (every [`crate::depth_first::PROGRESS_STRIDE`] clauses, and
 //! periodically during trace passes) and bails out with

@@ -19,7 +19,7 @@
 //! ## Error parity with breadth-first
 //!
 //! Pass 1 is shared verbatim ([`sequential_pass1`] / the sharded variant
-//! in [`crate::parallel`]), so malformed-trace errors are identical by
+//! in [`crate::shard`]), so malformed-trace errors are identical by
 //! construction. The build pass stops at the first *structurally*
 //! missing source (a forward reference or an unknown clause — exactly
 //! the condition under which breadth-first's pass 2 would fail), records
@@ -38,8 +38,8 @@ use crate::fxhash::FxHashMap;
 use crate::memory::{clause_bytes, MemoryMeter, DAG_NODE_BYTES, DAG_SOURCE_BYTES};
 use crate::model::{finish_visit, park_check_error, table_capacity_hint};
 use crate::outcome::{CheckOutcome, CheckStats, Strategy};
-use crate::parallel::{effective_jobs, mapped_sharded_pass1, sharded_pass1};
 use crate::resolve::normalize_literals;
+use crate::shard::{effective_jobs, mapped_sharded_pass1, sharded_pass1};
 use rescheck_cnf::{Cnf, Lit};
 use rescheck_obs::{Event, Observer, Phase};
 use rescheck_trace::{BlockIndex, EventRef, RandomAccessTrace, TraceMap, TraceSource};
@@ -208,7 +208,7 @@ pub(crate) fn build<S: TraceSource + ?Sized>(
 /// [`build`], with the trace decode optionally fanned out over the
 /// mapped bytes: when `mapped` carries the established map, its block
 /// index and a worker count above one, the event stream is produced by
-/// [`crate::parallel::mapped_visit_ordered`] — `jobs` workers decode
+/// [`crate::shard::mapped_visit_ordered`] — `jobs` workers decode
 /// disjoint chunks while this thread replays them in exact trace order
 /// through the identical per-event handler. The built graph, every
 /// meter charge and every error are byte-for-byte the same as the
@@ -299,7 +299,7 @@ pub(crate) fn build_from<S: TraceSource + ?Sized>(
     };
     let result = match mapped {
         Some((map, index, jobs)) if jobs > 1 => {
-            crate::parallel::mapped_visit_ordered(map.bytes(), index, jobs, &mut handler)
+            crate::shard::mapped_visit_ordered(map.bytes(), index, jobs, &mut handler)
         }
         _ => trace.visit_events(&mut handler),
     };
@@ -389,9 +389,9 @@ pub(crate) fn run<S: RandomAccessTrace + Sync + ?Sized>(
     // `--jobs` is a cap: workers beyond the machine's available cores
     // cannot raise throughput (the stats are identical either way), so
     // oversubscribed requests silently run with fewer workers.
-    let jobs = effective_jobs(config.jobs).min(crate::parallel::max_useful_workers());
-    let map = crate::parallel::establish_map(trace, config, obs);
-    if crate::parallel::small_trace_fallback(trace, map, config, obs) {
+    let jobs = effective_jobs(config.jobs).min(crate::shard::max_useful_workers());
+    let map = crate::shard::establish_map(trace, config, obs);
+    if crate::shard::small_trace_fallback(trace, map, config, obs) {
         let mut outcome = crate::breadth_first::run(cnf, trace, config, obs)?;
         outcome.stats.strategy = Strategy::ParallelDag;
         return Ok(outcome);

@@ -18,8 +18,8 @@
 //!    its list twice: once to push children, once to build) so the
 //!    common case costs one positioned read per needed clause.
 //!
-//! Unlike [`crate::hybrid`], built clauses are *not* freed after their
-//! last use — this is plain depth-first with the trace residency removed,
+//! Built clauses are *not* freed after their last use — this is plain
+//! depth-first with the trace residency removed,
 //! so its statistics (`clauses_built`, `resolutions`, the unsat core) are
 //! bit-identical to the in-memory depth-first strategy while its peak
 //! accounted memory replaces the *decoded*-trace term with `O(index)`.
@@ -160,7 +160,7 @@ pub(crate) fn run<S: RandomAccessTrace + ?Sized>(
     let start = Instant::now();
     let num_original = cnf.num_clauses();
     let mut meter = MemoryMeter::new(config.memory_limit);
-    let map = crate::parallel::establish_map(trace, config, obs);
+    let map = crate::shard::establish_map(trace, config, obs);
     if let Some(map) = map {
         // The encoded trace stays resident (mapped or buffered) behind
         // the cursor for the whole check; charge it under both backings

@@ -185,8 +185,8 @@ pub enum CheckError {
         required: u64,
     },
     /// The check was cancelled cooperatively before reaching a verdict —
-    /// e.g. because another racer of a checking portfolio already
-    /// succeeded. Not a statement about the trace's validity.
+    /// e.g. because the serve daemon's watchdog hit the job's deadline.
+    /// Not a statement about the trace's validity.
     Cancelled,
     /// A checker worker thread panicked. The parallel strategies convert
     /// join failures into this instead of `expect`-aborting the whole

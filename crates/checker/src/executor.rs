@@ -354,7 +354,7 @@ fn process_node(
             shared.record_error(
                 node,
                 CheckError::WorkerPanic {
-                    what: crate::parallel::panic_message(
+                    what: crate::shard::panic_message(
                         &format!("parallel-dag worker {w}"),
                         payload.as_ref(),
                     ),
@@ -444,7 +444,7 @@ fn execute_inline(
             Ok(Err(e)) => return Err(e),
             Err(payload) => {
                 return Err(CheckError::WorkerPanic {
-                    what: crate::parallel::panic_message("parallel-dag worker 0", payload.as_ref()),
+                    what: crate::shard::panic_message("parallel-dag worker 0", payload.as_ref()),
                 })
             }
         };
@@ -580,7 +580,7 @@ pub(crate) fn execute(
             .into_iter()
             .enumerate()
             .map(|(w, h)| {
-                crate::parallel::join_or_internal(&format!("parallel-dag worker {w}"), h.join())
+                crate::shard::join_or_internal(&format!("parallel-dag worker {w}"), h.join())
             })
             .collect::<Result<Vec<_>, _>>()
     })?;

@@ -22,6 +22,19 @@
 //!   is done. Slower (it verifies *every* learned clause), but its clause
 //!   memory never exceeds what the solver itself used.
 //!
+//! Two more strategies build on them; [`Strategy::ALL`] lists all four:
+//!
+//! - [`check_disk_depth_first`]: depth-first with the trace left on disk
+//!   behind a flat offset index — the same statistics and core as
+//!   depth-first without the resident trace.
+//! - [`check_parallel_dag`]: breadth-first's verification set scheduled
+//!   as a dependency DAG over work-stealing workers, with statistics
+//!   bit-identical for every worker count.
+//!
+//! Every strategy folds antecedent chains through one allocation-free
+//! [`ResolutionKernel`], held to the sorted-merge oracle
+//! [`resolve_sorted`] by differential tests.
+//!
 //! SAT claims are checked by [`check_sat_claim`] in linear time.
 //!
 //! The unsat core from the depth-first strategy can be shrunk further by
@@ -71,28 +84,27 @@ mod error;
 mod executor;
 mod final_phase;
 mod fxhash;
-mod hybrid;
 pub mod kernel;
 mod memory;
 mod model;
 mod outcome;
-mod parallel;
 mod proof;
 pub mod resolve;
 mod scratch;
+mod shard;
 mod trim;
 
 pub use api::{
-    check_breadth_first, check_depth_first, check_disk_depth_first, check_hybrid,
-    check_parallel_bf, check_parallel_dag, check_portfolio, check_sat_claim, check_unsat_claim,
-    check_unsat_claim_observed, check_unsat_claim_scoped, CheckConfig, ModelError, Strategy,
+    check_breadth_first, check_depth_first, check_disk_depth_first, check_parallel_dag,
+    check_sat_claim, check_unsat_claim, check_unsat_claim_observed, check_unsat_claim_scoped,
+    CheckConfig, ModelError, Strategy,
 };
 pub use cancel::CancelFlag;
 pub use core_min::{minimize_core, CoreIteration, CoreMinimization, MinimizeError};
 pub use error::{BadAntecedentReason, CheckError, FailureKind};
-pub use kernel::{KernelMode, KernelStats, ResolutionKernel};
+pub use kernel::{KernelStats, ResolutionKernel};
 pub use memory::MemoryMeter;
-pub use outcome::{CheckOutcome, CheckStats, UnsatCore};
+pub use outcome::{CheckOutcome, CheckStats, UnknownStrategy, UnsatCore};
 pub use proof::{proof_stats, ProofStats};
 pub use resolve::{
     normalize_literals, resolve_on, resolve_sorted, resolve_sorted_pivot, ResolveFailure,

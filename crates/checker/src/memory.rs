@@ -32,8 +32,8 @@ pub(crate) const LEVEL_ZERO_RECORD_BYTES: u64 = 16;
 /// Accounted bytes per entry of the breadth-first use-count table.
 pub(crate) const USE_COUNT_BYTES: u64 = 12;
 
-/// Accounted bytes per id → byte-offset index entry (hybrid and
-/// disk-backed depth-first strategies: two `u64`s per learned clause).
+/// Accounted bytes per id → byte-offset index entry (disk-backed
+/// depth-first strategy: two `u64`s per learned clause).
 pub(crate) const INDEX_ENTRY_BYTES: u64 = 16;
 
 /// Accounted bytes per node of the parallel-dag executor's dependency

@@ -1,7 +1,9 @@
 //! Results of a successful check.
 
 use rescheck_cnf::Cnf;
+use std::error::Error;
 use std::fmt;
+use std::str::FromStr;
 use std::time::Duration;
 
 /// Which traversal of the resolution graph a check used.
@@ -12,19 +14,6 @@ pub enum Strategy {
     /// Build every learned clause in generation order, freeing each after
     /// its last use (§3.3).
     BreadthFirst,
-    /// Depth-first over the trace left on disk, freeing clauses after
-    /// their last needed use — the combination the paper's conclusion
-    /// calls for (requires a random-access trace).
-    Hybrid,
-    /// Race depth-first against breadth-first on two threads and return
-    /// the first success, cancelling the loser — depth-first speed when
-    /// memory allows, breadth-first robustness when it does not.
-    Portfolio,
-    /// Breadth-first with a sharded counting pass and a pipelined
-    /// resolution pass. Same verdict and same `clauses_built` /
-    /// `resolutions` as [`Strategy::BreadthFirst`], regardless of the
-    /// worker count.
-    ParallelBf,
     /// Depth-first with the trace left on disk: only a flat id → offset
     /// index stays resident and resolve-source lists are fetched on
     /// demand through a trace cursor. Bit-identical statistics and core
@@ -41,16 +30,55 @@ pub enum Strategy {
     ParallelDag,
 }
 
+impl Strategy {
+    /// Every strategy, in the order checks, oracles and tables list them.
+    pub const ALL: [Strategy; 4] = [
+        Strategy::DepthFirst,
+        Strategy::BreadthFirst,
+        Strategy::DiskDepthFirst,
+        Strategy::ParallelDag,
+    ];
+}
+
 impl fmt::Display for Strategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Strategy::DepthFirst => f.write_str("depth-first"),
             Strategy::BreadthFirst => f.write_str("breadth-first"),
-            Strategy::Hybrid => f.write_str("hybrid"),
-            Strategy::Portfolio => f.write_str("portfolio"),
-            Strategy::ParallelBf => f.write_str("parallel-bf"),
             Strategy::DiskDepthFirst => f.write_str("disk-depth-first"),
             Strategy::ParallelDag => f.write_str("parallel-dag"),
+        }
+    }
+}
+
+/// A strategy name [`Strategy::from_str`](std::str::FromStr::from_str)
+/// does not know. Its message lists the accepted short names.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct UnknownStrategy(pub String);
+
+impl fmt::Display for UnknownStrategy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "unknown strategy {:?} (df|bf|dfd|pdag)", self.0)
+    }
+}
+
+impl Error for UnknownStrategy {}
+
+impl FromStr for Strategy {
+    type Err = UnknownStrategy;
+
+    /// Parses a short name (`df`), its long form (`depth-first`) or the
+    /// [`Display`](fmt::Display) name. The removed strategies' names stay
+    /// accepted as aliases of their successors for one release: `pbf` and
+    /// `parallel-bf` select [`Strategy::ParallelDag`], `hybrid` selects
+    /// [`Strategy::DiskDepthFirst`].
+    fn from_str(name: &str) -> Result<Strategy, UnknownStrategy> {
+        match name {
+            "df" | "depth-first" => Ok(Strategy::DepthFirst),
+            "bf" | "breadth-first" => Ok(Strategy::BreadthFirst),
+            "dfd" | "disk-df" | "disk-depth-first" | "hybrid" => Ok(Strategy::DiskDepthFirst),
+            "pdag" | "parallel-dag" | "pbf" | "parallel-bf" => Ok(Strategy::ParallelDag),
+            _ => Err(UnknownStrategy(name.to_string())),
         }
     }
 }
@@ -224,5 +252,42 @@ mod tests {
     fn strategy_display() {
         assert_eq!(Strategy::DepthFirst.to_string(), "depth-first");
         assert_eq!(Strategy::BreadthFirst.to_string(), "breadth-first");
+    }
+
+    #[test]
+    fn every_strategy_name_and_alias_parses() {
+        let table = [
+            ("df", Strategy::DepthFirst),
+            ("depth-first", Strategy::DepthFirst),
+            ("bf", Strategy::BreadthFirst),
+            ("breadth-first", Strategy::BreadthFirst),
+            ("dfd", Strategy::DiskDepthFirst),
+            ("disk-df", Strategy::DiskDepthFirst),
+            ("disk-depth-first", Strategy::DiskDepthFirst),
+            ("pdag", Strategy::ParallelDag),
+            ("parallel-dag", Strategy::ParallelDag),
+            // One-release aliases of the removed strategies.
+            ("hybrid", Strategy::DiskDepthFirst),
+            ("pbf", Strategy::ParallelDag),
+            ("parallel-bf", Strategy::ParallelDag),
+        ];
+        for (name, want) in table {
+            assert_eq!(name.parse::<Strategy>(), Ok(want), "{name}");
+        }
+        for s in Strategy::ALL {
+            assert_eq!(s.to_string().parse::<Strategy>(), Ok(s));
+        }
+    }
+
+    #[test]
+    fn removed_and_unknown_strategies_are_rejected_with_the_kept_names() {
+        for name in ["portfolio", "warp", "", "DF"] {
+            let err = name.parse::<Strategy>().unwrap_err();
+            assert_eq!(err, UnknownStrategy(name.to_string()));
+            assert_eq!(
+                err.to_string(),
+                format!("unknown strategy {name:?} (df|bf|dfd|pdag)")
+            );
+        }
     }
 }

@@ -253,11 +253,7 @@ mod tests {
             trimmed.kept_learned + trimmed.dropped_learned,
             solver.stats().learned_clauses
         );
-        for strategy in [
-            Strategy::DepthFirst,
-            Strategy::BreadthFirst,
-            Strategy::Hybrid,
-        ] {
+        for strategy in Strategy::ALL {
             check_unsat_claim(&cnf, &trimmed.events, strategy, &CheckConfig::default())
                 .unwrap_or_else(|e| panic!("{strategy}: {e}"));
         }

@@ -48,18 +48,14 @@ fn solve_and_check_both(cnf: &Cnf, cfg: SolverConfig) {
             check_sat_claim(cnf, &model).expect("claimed model must satisfy");
         }
         SolveResult::Unsatisfiable => {
-            for strategy in [
-                Strategy::DepthFirst,
-                Strategy::BreadthFirst,
-                Strategy::Hybrid,
-            ] {
+            for strategy in Strategy::ALL {
                 let outcome = check_unsat_claim(cnf, &trace, strategy, &CheckConfig::default())
                     .unwrap_or_else(|e| panic!("{strategy} check failed: {e}"));
                 assert_eq!(
                     outcome.stats.learned_in_trace,
                     solver.stats().learned_clauses
                 );
-                if strategy == Strategy::BreadthFirst {
+                if matches!(strategy, Strategy::BreadthFirst | Strategy::ParallelDag) {
                     assert_eq!(outcome.stats.clauses_built, outcome.stats.learned_in_trace);
                 } else {
                     assert!(outcome.stats.clauses_built <= outcome.stats.learned_in_trace);
@@ -295,7 +291,7 @@ fn df_core_checks_out_as_unsat_on_xor_cycles() {
 /// The `no_mmap` escape hatch swaps only the trace *backing*: every
 /// verdict and every stat must be bit-identical with the mapping on and
 /// off, for every map-consuming strategy, at every worker count — and
-/// the parallel strategies must also agree across worker counts.
+/// parallel-dag must also agree across worker counts.
 #[test]
 fn no_mmap_checks_are_bit_identical() {
     let cnf = pigeonhole(5);
@@ -311,8 +307,7 @@ fn no_mmap_checks_are_bit_identical() {
     }
 
     for (strategy, job_counts) in [
-        (Strategy::ParallelBf, &[1usize, 2, 4][..]),
-        (Strategy::ParallelDag, &[1, 2, 4][..]),
+        (Strategy::ParallelDag, &[1usize, 2, 4][..]),
         (Strategy::DiskDepthFirst, &[1][..]),
     ] {
         let mut across_jobs: Option<(u64, u64, u64, u64)> = None;

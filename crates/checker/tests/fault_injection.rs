@@ -41,28 +41,20 @@ fn solved_instance() -> (Cnf, Vec<TraceEvent>) {
 }
 
 fn both_reject(cnf: &Cnf, events: &[TraceEvent], what: &str) -> Vec<CheckError> {
-    [
-        Strategy::DepthFirst,
-        Strategy::BreadthFirst,
-        Strategy::Hybrid,
-    ]
-    .into_iter()
-    .map(|strategy| {
-        check_unsat_claim(cnf, &events.to_vec(), strategy, &CheckConfig::default())
-            .map(|_| ())
-            .expect_err(&format!("{strategy} must reject: {what}"))
-    })
-    .collect()
+    Strategy::ALL
+        .into_iter()
+        .map(|strategy| {
+            check_unsat_claim(cnf, &events.to_vec(), strategy, &CheckConfig::default())
+                .map(|_| ())
+                .expect_err(&format!("{strategy} must reject: {what}"))
+        })
+        .collect()
 }
 
 #[test]
 fn genuine_trace_is_accepted() {
     let (cnf, events) = solved_instance();
-    for strategy in [
-        Strategy::DepthFirst,
-        Strategy::BreadthFirst,
-        Strategy::Hybrid,
-    ] {
+    for strategy in Strategy::ALL {
         check_unsat_claim(&cnf, &events, strategy, &CheckConfig::default()).unwrap();
     }
 }
@@ -105,11 +97,7 @@ fn swapping_two_resolve_sources_within_a_clause_can_still_check() {
     {
         sources.swap(1, 2);
     }
-    for strategy in [
-        Strategy::DepthFirst,
-        Strategy::BreadthFirst,
-        Strategy::Hybrid,
-    ] {
+    for strategy in Strategy::ALL {
         let _ = check_unsat_claim(&cnf, &events, strategy, &CheckConfig::default());
     }
 }

@@ -59,11 +59,7 @@ fn solver_claims_always_validate() {
             }
             SolveResult::Unsatisfiable => {
                 assert!(cnf.brute_force_status().is_unsat(), "seed {seed}");
-                for strategy in [
-                    CheckStrategy::DepthFirst,
-                    CheckStrategy::BreadthFirst,
-                    CheckStrategy::Hybrid,
-                ] {
+                for strategy in CheckStrategy::ALL {
                     let outcome =
                         check_unsat_claim(&cnf, &trace, strategy, &CheckConfig::default());
                     assert!(

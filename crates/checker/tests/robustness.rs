@@ -18,19 +18,6 @@ const CASES: u64 = if cfg!(feature = "heavy-tests") {
     64
 };
 
-/// Every checking strategy, the parallel and disk-backed ones included:
-/// anything the sequential checkers must survive, the racing portfolio,
-/// the sharded breadth-first checker and the disk-backed depth-first
-/// checker must survive too.
-const ALL_STRATEGIES: [CheckStrategy; 6] = [
-    CheckStrategy::DepthFirst,
-    CheckStrategy::BreadthFirst,
-    CheckStrategy::Hybrid,
-    CheckStrategy::Portfolio,
-    CheckStrategy::ParallelBf,
-    CheckStrategy::DiskDepthFirst,
-];
-
 fn pigeonhole(holes: usize) -> Cnf {
     let pigeons = holes + 1;
     let mut cnf = Cnf::new();
@@ -126,7 +113,7 @@ fn mutated_traces_never_panic() {
         for _ in 0..rng.range_usize(1..6) {
             mutate(&mut events, &mut rng);
         }
-        for strategy in ALL_STRATEGIES {
+        for strategy in CheckStrategy::ALL {
             let _ = check_unsat_claim(&cnf, &events, strategy, &CheckConfig::default());
         }
         let _ = trim_trace(&cnf, &events);
@@ -145,7 +132,7 @@ fn mutated_formulas_never_panic() {
         let mut ids: Vec<usize> = (0..cnf.num_clauses()).collect();
         ids.remove(rng.range_usize(0..ids.len()));
         let smaller = cnf.subformula(ids);
-        for strategy in ALL_STRATEGIES {
+        for strategy in CheckStrategy::ALL {
             let _ = check_unsat_claim(&smaller, &events, strategy, &CheckConfig::default());
         }
         // Flip one literal of one clause.
@@ -158,7 +145,7 @@ fn mutated_formulas_never_panic() {
             }
             mutated.add_clause(lits);
         }
-        for strategy in ALL_STRATEGIES {
+        for strategy in CheckStrategy::ALL {
             let _ = check_unsat_claim(&mutated, &events, strategy, &CheckConfig::default());
         }
         let _ = trim_trace(&mutated, &events);
@@ -216,7 +203,7 @@ fn crafted_corruptions_are_rejected_by_every_strategy() {
                 }
             }
         }
-        for strategy in ALL_STRATEGIES {
+        for strategy in CheckStrategy::ALL {
             let result = check_unsat_claim(&cnf, &events, strategy, &CheckConfig::default());
             assert!(
                 result.is_err(),
@@ -255,7 +242,7 @@ fn truncated_binary_traces_are_rejected_by_every_strategy() {
         ));
         std::fs::write(&path, &encoded[..cut]).unwrap();
         let trace = FileTrace::open(&path).unwrap();
-        for strategy in ALL_STRATEGIES {
+        for strategy in CheckStrategy::ALL {
             let result = check_unsat_claim(&cnf, &trace, strategy, &CheckConfig::default());
             assert!(
                 result.is_err(),
@@ -266,12 +253,12 @@ fn truncated_binary_traces_are_rejected_by_every_strategy() {
     }
 }
 
-/// Repeated portfolio runs must not accumulate threads: the scoped
-/// racers are joined before `check_unsat_claim` returns, winner and
-/// cancelled loser alike. Best-effort (needs procfs); a systematic leak
-/// of two racers per call would trip the slack immediately.
+/// Repeated parallel-dag runs must not accumulate threads: the scoped
+/// decode and executor workers are joined before `check_unsat_claim`
+/// returns. Best-effort (needs procfs); a systematic leak of even one
+/// worker per call would trip the slack immediately.
 #[test]
-fn portfolio_cancellation_leaks_no_threads() {
+fn parallel_dag_leaks_no_threads() {
     let thread_count = || -> Option<usize> {
         std::fs::read_to_string("/proc/self/status")
             .ok()?
@@ -286,21 +273,20 @@ fn portfolio_cancellation_leaks_no_threads() {
     let Some(before) = thread_count() else {
         return;
     };
+    let config = CheckConfig {
+        jobs: 4,
+        parallel_min_learned: 0,
+        ..CheckConfig::default()
+    };
     let runs = 16;
     for _ in 0..runs {
-        check_unsat_claim(
-            &cnf,
-            &events,
-            CheckStrategy::Portfolio,
-            &CheckConfig::default(),
-        )
-        .unwrap();
+        check_unsat_claim(&cnf, &events, CheckStrategy::ParallelDag, &config).unwrap();
     }
     let after = thread_count().unwrap();
-    // 2 racers per run would mean +32 on a leak; allow noise from
+    // A leaked worker per run would mean +16 on a leak; allow noise from
     // concurrently running tests.
     assert!(
         after < before + runs,
-        "portfolio leaked threads: {before} -> {after}"
+        "parallel-dag leaked threads: {before} -> {after}"
     );
 }

@@ -2,7 +2,7 @@
 //!
 //! [`Event`] borrows its string fields, so it cannot be sent between
 //! threads or stored beyond the `observe` call. Parallel code (the
-//! checking portfolio, the sharded breadth-first passes) instead gives
+//! checker's sharded pass 1, the parallel-dag executor) instead gives
 //! each worker its own [`EventBuffer`] — an owned, `Send` recording of
 //! everything the worker emitted — and replays the buffers into the real
 //! observer on the coordinating thread once the workers are joined,

@@ -18,11 +18,11 @@
 //! | `trace`        | inline ASCII resolve trace (UNSAT claim)                 |
 //! | `trace_path`   | path to a trace file (ASCII or binary, sniffed)          |
 //! | `model`        | array of DIMACS literals (SAT claim)                     |
-//! | `strategy`     | `df` `bf` `hybrid` `portfolio` `pbf` `pdag` `dfd` (default `df`)|
+//! | `strategy`     | `df` `bf` `dfd` `pdag` (default `df`; `hybrid`, `pbf` are aliases) |
 //! | `proof_format` | `native` (default) `drat` `drup` `lrat` — how to read the trace payload |
 //! | `memory_bytes` | per-job accounted-memory cap                             |
 //! | `timeout_ms`   | per-job wall-clock deadline                              |
-//! | `jobs`         | inner worker threads for `pbf`/`pdag` (default 1)        |
+//! | `jobs`         | inner worker threads for `pdag` (default 1)              |
 //! | `inject`       | chaos hook: `panic` or `sleep:<ms>` (tests, drills)      |
 //!
 //! Exactly one of `trace` / `trace_path` / `model` selects the claim.
@@ -104,7 +104,7 @@ pub struct JobSpec {
     pub memory_bytes: Option<u64>,
     /// Per-job wall-clock deadline; `None` = the daemon default.
     pub timeout_ms: Option<u64>,
-    /// Inner worker threads (only `pbf` and `pdag` use more than one).
+    /// Inner worker threads (only `pdag` uses more than one).
     pub inner_jobs: usize,
     /// How to read UNSAT evidence: `None` = native resolve trace,
     /// `Some` = a clausal proof ingested into a synthetic trace first.
@@ -142,21 +142,6 @@ impl FrameError {
             id,
             message: message.into(),
         }
-    }
-}
-
-/// Maps the CLI's strategy names (the serve protocol reuses them
-/// verbatim) to [`Strategy`].
-pub fn parse_strategy(name: &str) -> Option<Strategy> {
-    match name {
-        "df" | "depth-first" => Some(Strategy::DepthFirst),
-        "bf" | "breadth-first" => Some(Strategy::BreadthFirst),
-        "hybrid" => Some(Strategy::Hybrid),
-        "portfolio" => Some(Strategy::Portfolio),
-        "pbf" | "parallel-bf" => Some(Strategy::ParallelBf),
-        "pdag" | "parallel-dag" => Some(Strategy::ParallelDag),
-        "dfd" | "disk-df" => Some(Strategy::DiskDepthFirst),
-        _ => None,
     }
 }
 
@@ -253,7 +238,8 @@ pub fn parse_frame(line: &str) -> Result<Frame, FrameError> {
             let name = s
                 .as_str()
                 .ok_or_else(|| fail("\"strategy\" must be a string".into()))?;
-            parse_strategy(name).ok_or_else(|| fail(format!("unknown strategy {name:?}")))?
+            // The CLI's strategy names, aliases included.
+            name.parse::<Strategy>().map_err(|e| fail(e.to_string()))?
         }
     };
     let proof_format = match value.get("proof_format") {
@@ -404,10 +390,9 @@ mod tests {
         for (name, expect) in [
             ("df", Strategy::DepthFirst),
             ("bf", Strategy::BreadthFirst),
-            ("hybrid", Strategy::Hybrid),
-            ("portfolio", Strategy::Portfolio),
-            ("pbf", Strategy::ParallelBf),
-            ("parallel-bf", Strategy::ParallelBf),
+            ("hybrid", Strategy::DiskDepthFirst),
+            ("pbf", Strategy::ParallelDag),
+            ("parallel-bf", Strategy::ParallelDag),
             ("pdag", Strategy::ParallelDag),
             ("parallel-dag", Strategy::ParallelDag),
             ("dfd", Strategy::DiskDepthFirst),
@@ -447,6 +432,15 @@ mod tests {
             parse_frame(r#"{"id":"j9","cnf":"x","trace":"t","strategy":"warp"}"#).unwrap_err();
         assert_eq!(err.id.as_deref(), Some("j9"));
         assert!(err.message.contains("warp"));
+        // The removed portfolio strategy is a bad request too, and the
+        // message names the strategies that remain.
+        let err =
+            parse_frame(r#"{"id":"j8","cnf":"x","trace":"t","strategy":"portfolio"}"#).unwrap_err();
+        assert_eq!(err.id.as_deref(), Some("j8"));
+        assert_eq!(
+            err.message,
+            r#"unknown strategy "portfolio" (df|bf|dfd|pdag)"#
+        );
         // Broken JSON has no recoverable id.
         let err = parse_frame(r#"{"id":"j9","#).unwrap_err();
         assert_eq!(err.id, None);

@@ -433,8 +433,15 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 
 /// Writes one frame as a compact JSON line. Write errors are swallowed:
 /// a client that hung up forfeits its verdicts, nothing more.
+///
+/// The line is rendered first and handed over in a single `write_all`:
+/// on an unbuffered TCP stream, a frame leaving in several small writes
+/// is held back by Nagle's algorithm until the client's delayed ACK,
+/// about 40 ms per verdict.
 pub fn write_frame(reply: &Reply, frame: &Json) {
+    let mut line = frame.to_string();
+    line.push('\n');
     let mut writer = reply.lock().unwrap_or_else(PoisonError::into_inner);
-    let _ = writeln!(writer, "{frame}");
+    let _ = writer.write_all(line.as_bytes());
     let _ = writer.flush();
 }

@@ -15,13 +15,14 @@ use rescheck_trace::{read_all, MemorySink, TraceFormat};
 use std::collections::BTreeMap;
 use std::io::Cursor;
 
-/// Deterministic strategies only: portfolio races two threads and its
-/// reported stats depend on which racer wins.
+/// The strategy names the job frames use. `hybrid` and `pbf` are the
+/// removed strategies' aliases, kept here so the campaign exercises them;
+/// they select disk-depth-first and parallel-dag.
 const STRATEGIES: [(&str, Strategy); 5] = [
     ("df", Strategy::DepthFirst),
     ("bf", Strategy::BreadthFirst),
-    ("hybrid", Strategy::Hybrid),
-    ("pbf", Strategy::ParallelBf),
+    ("hybrid", Strategy::DiskDepthFirst),
+    ("pbf", Strategy::ParallelDag),
     ("dfd", Strategy::DiskDepthFirst),
 ];
 
@@ -137,7 +138,7 @@ fn sat_case(id: String, cnf: &Cnf, cnf_str: &str, model: &[i64]) -> Case {
 }
 
 /// Builds the 100-job mixed campaign: valid UNSAT proofs across every
-/// deterministic strategy, defective proofs (formula/trace mismatches),
+/// strategy, defective proofs (formula/trace mismatches),
 /// valid and defective SAT models, and memory-starved jobs.
 fn build_campaign() -> Vec<Case> {
     let formulas: Vec<(String, Cnf)> = vec![
@@ -157,7 +158,7 @@ fn build_campaign() -> Vec<Case> {
 
     let mut cases = Vec::new();
 
-    // 40 valid UNSAT: 4 formulas × 5 strategies × 2 rounds (the repeat
+    // 40 valid UNSAT: 4 formulas × 5 strategy names × 2 rounds (the repeat
     // round exercises warm formula-cache + scratch reuse paths).
     for round in 0..2 {
         for (name, cnf, text, trace) in &prepared {

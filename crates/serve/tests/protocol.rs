@@ -6,8 +6,10 @@ mod common;
 
 use common::*;
 use rescheck_obs::json::Json;
-use rescheck_serve::{serve_io, LineOutcome, ServeConfig, Server};
-use std::io::Cursor;
+use rescheck_serve::{serve_io, serve_tcp, write_frame, LineOutcome, Reply, ServeConfig, Server};
+use std::io::{BufRead, BufReader, Cursor, Write};
+use std::net::TcpStream;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn one_worker() -> ServeConfig {
@@ -62,7 +64,7 @@ fn malformed_frames_each_get_a_verdict_and_the_session_survives() {
             .unwrap()
             .as_str()
             .unwrap(),
-        "unknown strategy \"warp\""
+        "unknown strategy \"warp\" (df|bf|dfd|pdag)"
     );
 
     // The session is still fully usable: a real job round-trips.
@@ -306,4 +308,104 @@ fn verdicts_embed_a_metrics_v2_document() {
     assert_eq!(metrics.get("command").unwrap().as_str(), Some("serve-job"));
     assert!(metrics.path("phases.check:resolve").is_some(), "{metrics}");
     assert!(verdict.path("stats.clauses_built").is_some());
+}
+
+/// A reply sink that counts `write` calls, to see how many pieces each
+/// frame leaves in.
+#[derive(Clone, Default)]
+struct CountingWriter(Arc<Mutex<(usize, Vec<u8>)>>);
+
+impl CountingWriter {
+    fn writes(&self) -> usize {
+        self.0.lock().unwrap().0
+    }
+
+    fn lines(&self) -> usize {
+        self.0
+            .lock()
+            .unwrap()
+            .1
+            .iter()
+            .filter(|&&b| b == b'\n')
+            .count()
+    }
+}
+
+impl Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let mut inner = self.0.lock().unwrap();
+        inner.0 += 1;
+        inner.1.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn each_frame_leaves_in_a_single_write() {
+    let sink = CountingWriter::default();
+    let reply: Reply = Arc::new(Mutex::new(Box::new(sink.clone())));
+
+    let mut frame = Json::object();
+    frame.set("id", "nested");
+    frame.set(
+        "list",
+        Json::Array(vec![Json::Int(1), Json::Str("two".into())]),
+    );
+    write_frame(&reply, &frame);
+    assert_eq!((sink.writes(), sink.lines()), (1, 1));
+
+    // Inline answers and worker verdicts go through the same path.
+    let server = Server::start(one_worker());
+    server.handle_line(r#"{"op":"ping"}"#, &reply);
+    server.handle_line(r#"{"id":"trunc","#, &reply);
+    server.handle_line(&sat_job("sat", &[]), &reply);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while sink.lines() < 4 {
+        assert!(Instant::now() < deadline, "timed out waiting for frames");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    server.shutdown();
+    assert_eq!(sink.writes(), sink.lines(), "one write per frame");
+}
+
+#[test]
+fn tcp_verdicts_are_not_held_back_by_delayed_acks() {
+    // A verdict that leaves in several small writes waits for the
+    // client's delayed ACK (about 40 ms) under Nagle's algorithm, so 20
+    // sequential claims would take more than 800 ms.
+    let (tx, rx) = mpsc::channel();
+    let daemon = std::thread::spawn(move || {
+        serve_tcp(one_worker(), "127.0.0.1:0", |addr| tx.send(addr).unwrap()).unwrap()
+    });
+    let addr = rx.recv().unwrap();
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let claims = 20;
+    let started = Instant::now();
+    for i in 0..claims {
+        // One write per request too, so the client side cannot stall.
+        writer
+            .write_all(format!("{}\n", sat_job(&format!("c{i}"), &[])).as_bytes())
+            .unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let frame = rescheck_obs::json::parse(line.trim()).unwrap();
+        assert_eq!(status_of(&frame), "valid", "{line}");
+    }
+    let elapsed = started.elapsed();
+    writer.write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
+    let summary = daemon.join().unwrap();
+    assert_eq!(
+        summary.get("jobs_submitted").unwrap().as_u64(),
+        Some(claims)
+    );
+    assert!(
+        elapsed < Duration::from_millis(400),
+        "{claims} sequential TCP claims took {elapsed:?}"
+    );
 }

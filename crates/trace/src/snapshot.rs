@@ -1,9 +1,8 @@
 //! Shareable in-memory traces for parallel checking.
 //!
-//! The parallel checkers need several threads to iterate **one** trace at
-//! the same time: the racing portfolio hands the same trace to a
-//! depth-first and a breadth-first worker, and the sharded breadth-first
-//! pass 1 splits the event stream across counting workers. A
+//! Parallel consumers need several threads to iterate **one** trace at
+//! the same time — for example a sharded pass 1 that splits the event
+//! stream across counting workers. A
 //! [`TraceSnapshot`] is an immutable, atomically reference-counted event
 //! vector that is `Send + Sync` and clones in O(1), and
 //! [`TraceSnapshot::chunks`] carves it into [`TraceChunk`]s — contiguous,

@@ -124,11 +124,7 @@ mod tests {
         let mut trace = MemorySink::new();
         let result = solver.solve_traced(&mut trace).unwrap();
         assert!(result.is_unsat(), "fault must be untestable");
-        for strategy in [
-            Strategy::DepthFirst,
-            Strategy::BreadthFirst,
-            Strategy::Hybrid,
-        ] {
+        for strategy in Strategy::ALL {
             check_unsat_claim(&inst.cnf, &trace, strategy, &CheckConfig::default())
                 .unwrap_or_else(|e| panic!("{strategy}: {e}"));
         }

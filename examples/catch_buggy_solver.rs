@@ -27,11 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut sink = MemorySink::new();
     assert!(solver.solve_traced(&mut sink)?.is_unsat());
     let genuine = sink.into_events();
-    for strategy in [
-        Strategy::DepthFirst,
-        Strategy::BreadthFirst,
-        Strategy::Hybrid,
-    ] {
+    for strategy in Strategy::ALL {
         check_unsat_claim(cnf, &genuine, strategy, &CheckConfig::default())?;
     }
     println!("genuine trace: accepted ✓\n");
@@ -93,11 +89,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut corrupted = genuine.clone();
         inject(&mut corrupted);
         println!("bug: {description}");
-        for strategy in [
-            Strategy::DepthFirst,
-            Strategy::BreadthFirst,
-            Strategy::Hybrid,
-        ] {
+        for strategy in Strategy::ALL {
             match check_unsat_claim(cnf, &corrupted, strategy, &CheckConfig::default()) {
                 Ok(_) => println!("  {strategy:13} MISSED THE BUG (should never happen)"),
                 Err(e) => println!("  {strategy:13} rejected: {e}"),

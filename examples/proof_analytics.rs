@@ -3,8 +3,8 @@
 //! A validated proof is also an artifact worth studying and archiving:
 //! this example measures the resolution-DAG shape of each benchmark
 //! family's proof (depth, needed fraction, resolution counts), trims the
-//! traces down to their needed subgraphs, and shows how the hybrid
-//! checker handles what depth-first cannot.
+//! traces down to their needed subgraphs, and re-validates each trimmed
+//! trace with the disk-backed depth-first checker.
 //!
 //! Run with:
 //!
@@ -41,12 +41,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let stats = proof_stats(&instance.cnf, &trace)?;
 
         // Trim to the needed subgraph and confirm the result still
-        // validates (with the hybrid strategy, for variety).
+        // validates (with the disk-backed depth-first strategy, for
+        // variety).
         let trimmed = trim_trace(&instance.cnf, &trace)?;
         let outcome = check_unsat_claim(
             &instance.cnf,
             &trimmed.events,
-            Strategy::Hybrid,
+            Strategy::DiskDepthFirst,
             &CheckConfig::default(),
         )?;
         assert!(outcome.core.is_some());
@@ -69,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "Reading the table: xor-heavy proofs (longmult, tseitin) need most of what \
          they learn; padded instances (routing) have small cores; every trimmed \
-         trace re-validated under the hybrid checker."
+         trace re-validated under the disk-backed depth-first checker."
     );
     Ok(())
 }

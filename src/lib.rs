@@ -55,9 +55,9 @@ pub use rescheck_workloads as workloads;
 /// The most common imports, re-exported flat.
 pub mod prelude {
     pub use rescheck_checker::{
-        check_breadth_first, check_depth_first, check_hybrid, check_sat_claim, check_unsat_claim,
-        minimize_core, proof_stats, trim_trace, CheckConfig, CheckError, CheckOutcome, ProofStats,
-        Strategy, TrimmedTrace, UnsatCore,
+        check_breadth_first, check_depth_first, check_disk_depth_first, check_parallel_dag,
+        check_sat_claim, check_unsat_claim, minimize_core, proof_stats, trim_trace, CheckConfig,
+        CheckError, CheckOutcome, ProofStats, Strategy, TrimmedTrace, UnsatCore,
     };
     pub use rescheck_cnf::{dimacs, Assignment, Clause, Cnf, LBool, Lit, SatStatus, Var};
     pub use rescheck_solver::{SolveResult, Solver, SolverConfig, SolverStats};

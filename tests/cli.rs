@@ -109,8 +109,9 @@ fn parallel_strategies_check_and_pbf_is_jobs_deterministic() {
         .unwrap();
     assert_eq!(st.code(), Some(20));
 
-    // Both parallel strategies validate the genuine proof.
-    for strategy in ["portfolio", "pbf"] {
+    // parallel-dag validates the genuine proof, under its own name and
+    // under the removed parallel breadth-first strategy's alias.
+    for strategy in ["pdag", "pbf", "parallel-bf"] {
         let out = bin()
             .arg("check")
             .arg(&cnf_path)
@@ -122,27 +123,31 @@ fn parallel_strategies_check_and_pbf_is_jobs_deterministic() {
         assert!(String::from_utf8_lossy(&out.stdout).contains("VALID UNSAT proof"));
     }
 
-    // The sharded breadth-first checker reports identical statistics
-    // regardless of the worker count (runtime excluded, of course).
-    let stats_line = |jobs: &str| -> String {
+    // parallel-dag reports identical statistics regardless of the
+    // worker count (runtime excluded, of course), and the alias prints
+    // exactly parallel-dag's line.
+    let stats_line = |strategy: &str, jobs: &str| -> String {
         let out = bin()
             .arg("check")
             .arg(&cnf_path)
             .arg(&trace_path)
-            .args(["--strategy", "pbf", "--jobs", jobs])
+            .args(["--strategy", strategy, "--jobs", jobs])
             .output()
             .unwrap();
         assert_eq!(out.status.code(), Some(0), "--jobs {jobs}");
         let text = String::from_utf8_lossy(&out.stdout).to_string();
         let line = text
             .lines()
-            .find(|l| l.starts_with("parallel-bf:"))
+            .find(|l| l.starts_with("parallel-dag:"))
             .unwrap_or_else(|| panic!("no stats line in {text}"))
             .to_string();
         // Drop the trailing wall-clock figure.
         line.rsplit_once(',').unwrap().0.to_string()
     };
-    assert_eq!(stats_line("1"), stats_line("4"));
+    let pdag = stats_line("pdag", "1");
+    assert_eq!(pdag, stats_line("pdag", "4"));
+    assert_eq!(pdag, stats_line("pbf", "1"));
+    assert_eq!(pdag, stats_line("pbf", "4"));
 }
 
 #[test]
@@ -236,7 +241,7 @@ fn trim_produces_a_smaller_trace_that_still_checks() {
     let before = std::fs::metadata(&trace_path).unwrap().len();
     let after = std::fs::metadata(&trimmed_path).unwrap().len();
     assert!(after <= before);
-    for strategy in ["df", "bf", "hybrid"] {
+    for strategy in ["df", "bf", "dfd", "pdag"] {
         let out = bin()
             .arg("check")
             .arg(&cnf_path)
@@ -584,7 +589,7 @@ fn parallel_check_attributes_per_worker_metrics() {
         .arg("check")
         .arg(&cnf_path)
         .arg(&trace_path)
-        .args(["--strategy", "pbf", "--jobs", "4"])
+        .args(["--strategy", "pdag", "--jobs", "4"])
         .arg("--metrics-out")
         .arg(&metrics_path)
         .status()
@@ -592,14 +597,23 @@ fn parallel_check_attributes_per_worker_metrics() {
     assert_eq!(st.code(), Some(0));
     let text = std::fs::read_to_string(&metrics_path).unwrap();
     let doc = rescheck_obs::json::parse(&text).unwrap();
+    // pdag caps `--jobs` at the available cores; one core means one
+    // worker and an unsharded pass 1 with nothing to attribute.
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
+    if workers == 1 {
+        return;
+    }
     let hists = doc.path("histograms").expect("histograms section");
     let wall_count = hists
         .get("check.pass1.worker_wall_us")
         .and_then(|h| h.get("count"))
         .and_then(|j| j.as_u64())
         .unwrap_or_else(|| panic!("missing worker wall histogram: {text}"));
-    assert_eq!(wall_count, 4, "one wall-time sample per worker");
-    for w in 0..4 {
+    assert_eq!(
+        wall_count, workers as u64,
+        "one wall-time sample per worker"
+    );
+    for w in 0..workers {
         assert!(
             doc.path("gauges")
                 .and_then(|g| g.get(&format!("check.worker.{w}.pass1.events")))
@@ -617,6 +631,15 @@ fn usage_errors_exit_2() {
     assert_eq!(out.status.code(), Some(2));
     let out = bin().args(["gen", "nonsense"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
+    // The removed portfolio strategy is a usage error naming the kept
+    // strategies.
+    let out = bin()
+        .args(["check", "a.cnf", "a.rt", "--strategy", "portfolio"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr)
+        .contains(r#"unknown strategy "portfolio" (df|bf|dfd|pdag)"#));
 }
 
 #[test]

@@ -18,11 +18,7 @@ fn every_quick_suite_family_checks_end_to_end() {
             "{}",
             instance.name
         );
-        for strategy in [
-            Strategy::DepthFirst,
-            Strategy::BreadthFirst,
-            Strategy::Hybrid,
-        ] {
+        for strategy in Strategy::ALL {
             let outcome = check_unsat_claim(cnf, &trace, strategy, &CheckConfig::default())
                 .unwrap_or_else(|e| panic!("{} ({strategy}): {e}", instance.name));
             assert_eq!(
@@ -109,11 +105,7 @@ fn file_traces_in_both_formats_check() {
 
     for path in [&ascii_path, &bin_path] {
         let trace = FileTrace::open(path).unwrap();
-        for strategy in [
-            Strategy::DepthFirst,
-            Strategy::BreadthFirst,
-            Strategy::Hybrid,
-        ] {
+        for strategy in Strategy::ALL {
             check_unsat_claim(&instance.cnf, &trace, strategy, &CheckConfig::default())
                 .unwrap_or_else(|e| panic!("{path:?} {strategy}: {e}"));
         }
