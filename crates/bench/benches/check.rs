@@ -1,26 +1,22 @@
 //! Check-throughput benchmark: end-to-end validation time on
 //! Table-2-class instances, sequential breadth-first against the
-//! work-stealing parallel-dag executor at increasing worker counts, plus
-//! the observability overhead
-//! of running the same check under a recording [`MetricsSink`] instead
-//! of the [`NullObserver`] (the hot path is allocation-free, so the gap
-//! should be noise).
+//! parallel-dag strategy (bf's verification set walked over a dense
+//! dependency DAG), plus the observability overhead of running the same
+//! check under a recording [`MetricsSink`] instead of the
+//! [`NullObserver`] (the hot path is allocation-free, so the gap should
+//! be noise).
 //!
 //! Traces go through the production file path — solved once into a
 //! binary temp file and checked through a [`FileTrace`] with its byte
 //! map established up front (the `rescheck serve` reuse pattern) — so
-//! the parallel rows exercise the mapped sharded ingestion front end.
-//! The `pdag` rows override the default `parallel_min_learned` threshold
-//! to 0 to force the parallel path, and a `nommap` row re-checks under the
-//! buffered backing; its work counters must match the mapped row
-//! bit-for-bit.
+//! the `pdag` row decodes from the map. A `pdag-nommap` row re-checks
+//! under the buffered backing; its work counters must match the mapped
+//! row bit-for-bit.
 //!
 //! With `--json <path>` a `rescheck-metrics-v2` document is written with
 //! one row per (instance, configuration) pair carrying the median check
 //! time and the learned-clauses-per-second throughput, for the CI
-//! bench-smoke job (which checks shape, never timing). The document
-//! records the host's available parallelism: on a single-core runner
-//! the multi-worker rows measure overhead, not scaling.
+//! bench-smoke job (which checks shape, never timing).
 
 use rescheck_bench::micro::bench;
 use rescheck_bench::report::{take_json_flag, write_json, SCHEMA};
@@ -47,18 +43,6 @@ fn trace_of(inst: &Instance) -> (FileTrace, PathBuf) {
     let trace = FileTrace::open(&path).expect("open trace fixture");
     trace.trace_map(true).expect("binary traces map");
     (trace, path)
-}
-
-/// The pdag rows force the parallel path: both bench instances sit
-/// below the default `parallel_min_learned` threshold, which the mapped
-/// block index now enforces with exact counts.
-fn pdag_config(jobs: usize, no_mmap: bool) -> CheckConfig {
-    CheckConfig {
-        jobs,
-        parallel_min_learned: 0,
-        no_mmap,
-        ..CheckConfig::default()
-    }
 }
 
 fn main() {
@@ -88,8 +72,8 @@ fn main() {
                     "learned_per_second",
                     learned as f64 / median_seconds.max(1e-12),
                 );
-            // Work counters, for the determinism-across-jobs criterion
-            // (compared bit-for-bit between pdag rows in CI).
+            // Work counters, compared bit-for-bit between the pdag rows
+            // in CI.
             if let Some(stats) = stats {
                 row.set("clauses_built", stats.clauses_built)
                     .set("resolutions", stats.resolutions)
@@ -109,61 +93,60 @@ fn main() {
         });
         push_row("bf", seq.median.as_secs_f64(), None);
 
-        let mut mapped_key = None;
-        for jobs in [1usize, 2, 4, 8] {
-            let config = pdag_config(jobs, false);
-            let stats = check_unsat_claim(&inst.cnf, &trace, Strategy::ParallelDag, &config)
-                .expect("genuine trace")
-                .stats;
-            let key = (
-                stats.clauses_built,
-                stats.resolutions,
-                stats.peak_memory_bytes,
-            );
-            if let Some(prev) = mapped_key {
-                assert_eq!(prev, key, "pdag stats drift across worker counts");
-            }
-            mapped_key = Some(key);
-            let summary = bench(&format!("check/pdag-jobs{jobs}/{}", inst.name), || {
-                check_unsat_claim(&inst.cnf, &trace, Strategy::ParallelDag, &config)
-                    .expect("genuine trace");
-            });
-            push_row(
-                &format!("pdag-jobs{jobs}"),
-                summary.median.as_secs_f64(),
-                Some(&stats),
-            );
-        }
+        let stats = check_unsat_claim(
+            &inst.cnf,
+            &trace,
+            Strategy::ParallelDag,
+            &CheckConfig::default(),
+        )
+        .expect("genuine trace")
+        .stats;
+        let summary = bench(&format!("check/pdag/{}", inst.name), || {
+            check_unsat_claim(
+                &inst.cnf,
+                &trace,
+                Strategy::ParallelDag,
+                &CheckConfig::default(),
+            )
+            .expect("genuine trace");
+        });
+        push_row("pdag", summary.median.as_secs_f64(), Some(&stats));
 
         // The buffered-backing comparison row: a fresh handle (a
         // FileTrace keeps the first backing it establishes) checked
-        // with `no_mmap`, which must reproduce the mapped rows' work
+        // with `no_mmap`, which must reproduce the mapped row's work
         // counters bit-for-bit.
-        {
-            let config = pdag_config(4, true);
-            let unmapped = FileTrace::open(&trace_path).expect("open trace fixture");
-            let stats = check_unsat_claim(&inst.cnf, &unmapped, Strategy::ParallelDag, &config)
+        let nommap = CheckConfig {
+            no_mmap: true,
+            ..CheckConfig::default()
+        };
+        let unmapped = FileTrace::open(&trace_path).expect("open trace fixture");
+        let unmapped_stats =
+            check_unsat_claim(&inst.cnf, &unmapped, Strategy::ParallelDag, &nommap)
                 .expect("genuine trace")
                 .stats;
-            assert_eq!(
-                mapped_key,
-                Some((
-                    stats.clauses_built,
-                    stats.resolutions,
-                    stats.peak_memory_bytes,
-                )),
-                "no_mmap pdag stats diverge from the mapped rows"
-            );
-            let summary = bench(&format!("check/pdag-jobs4-nommap/{}", inst.name), || {
-                check_unsat_claim(&inst.cnf, &unmapped, Strategy::ParallelDag, &config)
-                    .expect("genuine trace");
-            });
-            push_row(
-                "pdag-jobs4-nommap",
-                summary.median.as_secs_f64(),
-                Some(&stats),
-            );
-        }
+        assert_eq!(
+            (
+                unmapped_stats.clauses_built,
+                unmapped_stats.resolutions,
+                unmapped_stats.peak_memory_bytes,
+            ),
+            (
+                stats.clauses_built,
+                stats.resolutions,
+                stats.peak_memory_bytes
+            ),
+            "no_mmap pdag stats diverge from the mapped row"
+        );
+        let summary = bench(&format!("check/pdag-nommap/{}", inst.name), || {
+            check_unsat_claim(&inst.cnf, &unmapped, Strategy::ParallelDag, &nommap)
+                .expect("genuine trace");
+        });
+        push_row(
+            "pdag-nommap",
+            summary.median.as_secs_f64(),
+            Some(&unmapped_stats),
+        );
 
         // Observability overhead: the same breadth-first check with a
         // recording metrics sink (spans, counters, histograms) against

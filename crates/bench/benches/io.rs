@@ -10,10 +10,10 @@
 //!   per tag/varint byte, an owned `sources` vector per event) against
 //!   [`BlockDecoder`] refilling one 256 KiB block buffer and lending
 //!   borrowed [`EventRef`]s.
-//! * Mapped ingestion — the buffered sequential block decode against
-//!   the parallel checkers' pass-1 front end: disjoint block-index
-//!   shards of an established [`TraceMap`] decoded on worker threads
-//!   through [`SliceDecoder`]s, zero read syscalls and zero copies.
+//! * Mapped ingestion — the buffered per-record reader against the
+//!   checkers' mapped front end: an established [`TraceMap`] decoded in
+//!   place through a [`SliceDecoder`], zero read syscalls and zero
+//!   copies.
 //! * Random-access fetch — the disk-depth-first access pattern
 //!   (`event_at` over shuffled offsets) through the positioned-read
 //!   file cursor (one `pread` per fetch) against the map-backed cursor
@@ -179,79 +179,30 @@ fn decode_block_path(path: &Path) -> (u64, u64) {
     (events, source_sum)
 }
 
-/// Workers for the mapped sharded decode: one per available core, the
-/// same cap the parallel checkers derive, at most 4.
-fn map_shards() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(4)
-}
-
-/// The mapped ingestion path of the parallel checkers: decode disjoint
-/// block-index shards of an established map on worker threads — or, on
-/// a single-core host, the whole slice in place (the checkers' `jobs 1`
-/// path), where the win over the buffered reader is the absence of
-/// read syscalls and per-event allocation rather than parallelism.
-fn decode_map_sharded(map: &TraceMap, shards: usize) -> (u64, u64) {
-    let index = map.block_index().expect("well-formed fixture");
-    let bytes = map.bytes();
-    if shards <= 1 {
-        let mut decoder = SliceDecoder::new(bytes).expect("magic");
-        let mut events = 0u64;
-        let mut source_sum = 0u64;
-        while let Some(event) = decoder.next_event().expect("valid trace") {
-            match event {
-                EventRef::Learned { sources, .. } => {
-                    events += 1;
-                    source_sum += sources.iter().sum::<u64>();
-                }
-                EventRef::LevelZero { antecedent, .. } => {
-                    events += 1;
-                    source_sum += antecedent;
-                }
-                EventRef::FinalConflict { id } => {
-                    events += 1;
-                    source_sum += id;
-                }
+/// The checkers' mapped ingestion path: decode an established map in
+/// place, where the win over the buffered reader is the absence of read
+/// syscalls and per-event allocation.
+fn decode_map(map: &TraceMap) -> (u64, u64) {
+    let mut decoder = SliceDecoder::new(map.bytes()).expect("magic");
+    let mut events = 0u64;
+    let mut source_sum = 0u64;
+    while let Some(event) = decoder.next_event().expect("valid trace") {
+        match event {
+            EventRef::Learned { sources, .. } => {
+                events += 1;
+                source_sum += sources.iter().sum::<u64>();
+            }
+            EventRef::LevelZero { antecedent, .. } => {
+                events += 1;
+                source_sum += antecedent;
+            }
+            EventRef::FinalConflict { id } => {
+                events += 1;
+                source_sum += id;
             }
         }
-        return (events, source_sum);
     }
-    let ranges = index.shard_ranges(shards);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|range| {
-                scope.spawn(move || {
-                    let mut decoder = SliceDecoder::resume_at(&bytes[..range.end], range.start);
-                    let mut events = 0u64;
-                    let mut source_sum = 0u64;
-                    while let Some(event) = decoder.next_event().expect("valid trace") {
-                        match event {
-                            EventRef::Learned { sources, .. } => {
-                                events += 1;
-                                source_sum += sources.iter().sum::<u64>();
-                            }
-                            EventRef::LevelZero { antecedent, .. } => {
-                                events += 1;
-                                source_sum += antecedent;
-                            }
-                            EventRef::FinalConflict { id } => {
-                                events += 1;
-                                source_sum += id;
-                            }
-                        }
-                    }
-                    (events, source_sum)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard decode"))
-            .fold((0, 0), |(e, s), (de, ds)| (e + de, s + ds))
-    })
+    (events, source_sum)
 }
 
 /// Fetches every offset through the trace's random-access cursor —
@@ -329,25 +280,23 @@ fn main() {
     rows.push(row);
 
     // ---- Mapped ingestion: the buffered per-record reader (the same
-    // baseline as the decode row) vs the mapped decode over an
-    // established byte map, sharded across the available cores.
+    // baseline as the decode row) vs the in-place decode of an
+    // established byte map.
     let map = TraceMap::open(&trace_path).expect("map fixture");
-    let shards = map_shards();
     assert_eq!(
-        decode_map_sharded(&map, shards),
+        decode_map(&map),
         expected,
-        "sharded mapped decode disagrees with the fixture"
+        "mapped decode disagrees with the fixture"
     );
-    let map_decode = bench("io/decode/map-sharded", || {
-        std::hint::black_box(decode_map_sharded(&map, shards));
+    let map_decode = bench("io/decode/map", || {
+        std::hint::black_box(decode_map(&map));
     });
     let map_speedup = old_decode.min.as_secs_f64() / map_decode.min.as_secs_f64().max(1e-12);
-    println!("io/speedup/decode-map: {map_speedup:.2}x ({shards} shard(s))");
+    println!("io/speedup/decode-map: {map_speedup:.2}x");
     let mut row = Json::object();
     row.set("name", "decode-map")
         .set("input_bytes", trace_bytes)
         .set("events", expected.0)
-        .set("shards", shards as u64)
         .set("mmap", map.is_mmap())
         .set("old_min_seconds", old_decode.min.as_secs_f64())
         .set("new_min_seconds", map_decode.min.as_secs_f64())

@@ -12,9 +12,9 @@
 //!
 //! - depth-first and disk-backed depth-first are the *same traversal* and
 //!   must agree bit-for-bit, down to the failure diagnostic;
-//! - the parallel-dag executor verifies the same full set of learned
-//!   clauses as breadth-first and must agree with it on the verdict and
-//!   the work counters, for any worker count;
+//! - parallel-dag verifies the same full set of learned clauses as
+//!   breadth-first and must agree with it on the verdict and the work
+//!   counters;
 //! - breadth-first validates a superset of what depth-first validates, so
 //!   a breadth-first accept implies a depth-first accept — the paper's
 //!   two independent traversals (§3.2 on demand, §3.3 forward) checking
@@ -89,7 +89,7 @@ pub struct StrategyReport {
 /// The strategies run sequentially in [`Strategy::ALL`] order, each with
 /// a fresh clone of `config`, so a cancellation or memory accounting
 /// artifact of one run cannot leak into the next.
-pub fn run_all_strategies<S: RandomAccessTrace + Sync + ?Sized>(
+pub fn run_all_strategies<S: RandomAccessTrace + ?Sized>(
     cnf: &Cnf,
     trace: &S,
     config: &CheckConfig,
@@ -274,9 +274,9 @@ pub fn verify_valid_agreement(
             ),
         ));
     }
-    // The parallel-dag executor verifies the same full set of learned
-    // clauses as breadth-first (its accounting model differs, so peak
-    // memory is compared across its own worker counts, not against bf).
+    // Parallel-dag verifies the same full set of learned clauses as
+    // breadth-first (its accounting model differs, so peak memory is
+    // not compared).
     if pdag.stats.clauses_built != bf.stats.clauses_built
         || pdag.stats.resolutions != bf.stats.resolutions
     {

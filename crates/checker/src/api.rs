@@ -20,7 +20,6 @@ use std::fmt;
 ///
 /// let cfg = CheckConfig {
 ///     memory_limit: Some(800 << 20), // the paper's 800 MB cap
-///     jobs: 4,
 ///     ..CheckConfig::default()
 /// };
 /// assert!(cfg.memory_limit.is_some());
@@ -32,20 +31,6 @@ pub struct CheckConfig {
     /// The paper ran both checkers with an 800 MB limit, under which the
     /// depth-first strategy fails on the largest instances (Table 2).
     pub memory_limit: Option<u64>,
-    /// Worker threads for [`Strategy::ParallelDag`]'s sharded decode and
-    /// executor; `0` picks the available parallelism (capped at 8). The
-    /// value is a cap: the strategy never runs more workers than the
-    /// machine has cores — extra threads cannot raise throughput and its
-    /// stats are identical for any worker count. Other strategies ignore
-    /// it.
-    pub jobs: usize,
-    /// Learned-clause estimate below which [`Strategy::ParallelDag`]
-    /// falls back to plain sequential breadth-first: thread spin-up and
-    /// cross-shard merging cost more than they save on small traces
-    /// (the reported strategy then says so). Set to `0` to always run
-    /// parallel. The estimate comes from the encoded trace size; an
-    /// unsized trace source never falls back.
-    pub parallel_min_learned: usize,
     /// Cap in bytes on the cache of normalized *original* clauses kept by
     /// the depth-first and breadth-first final phases; `None` =
     /// uncapped. The cache is charged to the memory meter either way, but
@@ -63,8 +48,8 @@ pub struct CheckConfig {
     /// for file traces (the `--no-mmap` CLI flag; the
     /// `RESCHECK_NO_MMAP` environment variable has the same effect).
     /// This controls only how the bytes are *backed* — every map-based
-    /// code path (slice decoding, sharded parallel pass 1, cursor
-    /// fetches by pointer arithmetic) stays on, so verdicts and stats
+    /// code path (slice decoding, block-index sizing, cursor fetches by
+    /// pointer arithmetic) stays on, so verdicts and stats
     /// are bit-identical across the two settings. The map is charged to
     /// the memory meter identically in both modes.
     pub no_mmap: bool,
@@ -75,15 +60,13 @@ pub struct CheckConfig {
 }
 
 impl Default for CheckConfig {
-    /// Unlimited memory, automatic job count, uncapped caches, an inert
-    /// cancel flag, and the tuned small-trace fallback threshold.
+    /// Unlimited memory, uncapped caches, `mmap` when available and an
+    /// inert cancel flag.
     fn default() -> Self {
         CheckConfig {
             memory_limit: None,
-            jobs: 0,
             original_cache_bytes: None,
             source_cache_bytes: None,
-            parallel_min_learned: 4096,
             no_mmap: false,
             cancel: CancelFlag::default(),
         }
@@ -118,7 +101,7 @@ impl Default for CheckConfig {
 /// }
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn check_unsat_claim<S: RandomAccessTrace + Sync + ?Sized>(
+pub fn check_unsat_claim<S: RandomAccessTrace + ?Sized>(
     cnf: &Cnf,
     trace: &S,
     strategy: Strategy,
@@ -150,8 +133,7 @@ pub fn check_unsat_claim<S: RandomAccessTrace + Sync + ?Sized>(
 /// memory-mapped trace backing ([`Strategy::DiskDepthFirst`] and
 /// [`Strategy::ParallelDag`] on binary file traces) run it inside a
 /// `trace-map` phase and emit `check.map.bytes` (accounted map length) and `check.map.mmap` (1 for the `mmap`
-/// backing, 0 for the buffered fallback); the sharded mapped pass 1
-/// additionally reports `check.pass1.shards`.
+/// backing, 0 for the buffered fallback).
 ///
 /// # Errors
 ///
@@ -180,7 +162,7 @@ pub fn check_unsat_claim<S: RandomAccessTrace + Sync + ?Sized>(
 /// assert!(sink.registry().phase_seconds("check:pass1").is_some());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn check_unsat_claim_observed<S: RandomAccessTrace + Sync + ?Sized>(
+pub fn check_unsat_claim_observed<S: RandomAccessTrace + ?Sized>(
     cnf: &Cnf,
     trace: &S,
     strategy: Strategy,
@@ -230,7 +212,7 @@ fn span_name(strategy: Strategy) -> &'static str {
 /// # Errors
 ///
 /// See [`check_unsat_claim`].
-pub fn check_unsat_claim_scoped<S: RandomAccessTrace + Sync + ?Sized>(
+pub fn check_unsat_claim_scoped<S: RandomAccessTrace + ?Sized>(
     cnf: &Cnf,
     trace: &S,
     strategy: Strategy,
@@ -304,25 +286,23 @@ pub fn check_disk_depth_first<S: RandomAccessTrace + ?Sized>(
 
 /// Validates an UNSAT claim with the parallel-dag strategy: the trace's
 /// learned clauses form a dependency DAG (each depends only on the
-/// learned clauses it resolves with), which a work-stealing executor
-/// schedules by in-degree across [`CheckConfig::jobs`] workers. A build
-/// pass resolves every clause id to a dense index first, so the
-/// resolution hot loop performs no hash lookups at all, and completions
-/// are committed in trace order so memory accounting replays
-/// breadth-first's free-at-last-use discipline deterministically.
+/// learned clauses it resolves with), built once into a dense,
+/// index-addressed form and then resolved in trace order on one thread.
+/// The build pass resolves every clause id to a dense index first, so
+/// the resolution hot loop performs no hash lookups at all, and each
+/// clause is freed at its last use, as in breadth-first.
 ///
-/// Returns bit-identical [`CheckStats::clauses_built`],
-/// [`CheckStats::resolutions`] and [`CheckStats::peak_memory_bytes`] for
-/// any worker count, and the same verdict as [`check_breadth_first`].
+/// Returns the same verdict, [`CheckStats::clauses_built`] and
+/// [`CheckStats::resolutions`] as [`check_breadth_first`]. (The name is
+/// historical: the strategy no longer spawns threads.)
 ///
 /// [`CheckStats::resolutions`]: crate::CheckStats::resolutions
 /// [`CheckStats::clauses_built`]: crate::CheckStats::clauses_built
-/// [`CheckStats::peak_memory_bytes`]: crate::CheckStats::peak_memory_bytes
 ///
 /// # Errors
 ///
 /// See [`check_unsat_claim`].
-pub fn check_parallel_dag<S: RandomAccessTrace + Sync + ?Sized>(
+pub fn check_parallel_dag<S: RandomAccessTrace + ?Sized>(
     cnf: &Cnf,
     trace: &S,
     config: &CheckConfig,
@@ -432,10 +412,8 @@ mod tests {
     fn config_default_is_unlimited() {
         let cfg = CheckConfig::default();
         assert_eq!(cfg.memory_limit, None);
-        assert_eq!(cfg.jobs, 0);
         assert_eq!(cfg.original_cache_bytes, None);
         assert_eq!(cfg.source_cache_bytes, None);
-        assert_eq!(cfg.parallel_min_learned, 4096);
         assert!(!cfg.no_mmap);
         assert!(!cfg.cancel.is_cancelled());
     }

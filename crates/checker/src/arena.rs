@@ -17,8 +17,8 @@
 //! [`ARENA_PAGE_BYTES`] pages as the literal tail grows (never refunded —
 //! an arena retains its capacity) plus [`ARENA_SLOT_BYTES`] per resident
 //! slot (refunded on removal). Both charges are pure functions of the
-//! insert/remove sequence, preserving the bit-identical-stats guarantee
-//! across `--jobs` values.
+//! insert/remove sequence, so the reported peak is a function of the
+//! trace alone.
 
 use crate::fxhash::FxHashMap;
 use crate::memory::{MemoryMeter, ARENA_PAGE_BYTES, ARENA_SLOT_BYTES};

@@ -13,9 +13,8 @@
 //! clause, not just those on the proof path.
 //!
 //! Pass 1's tables ([`Pass1Tables`]) are shared verbatim with the
-//! parallel-dag strategy, whose sharded pass 1 in [`crate::shard`] merges
-//! into the same methods; that is what makes its malformed-trace errors
-//! identical to the sequential ones.
+//! parallel-dag strategy, so the two reject a malformed trace with the
+//! identical first error.
 
 use crate::api::CheckConfig;
 use crate::arena::ClauseArena;
@@ -27,7 +26,7 @@ use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::kernel::{KernelStats, ResolutionKernel};
 use crate::memory::{MemoryMeter, LEVEL_ZERO_RECORD_BYTES, USE_COUNT_BYTES};
 use crate::model::{
-    finish_visit, park_check_error, table_capacity_hint, validate_learned, LevelZeroMap,
+    finish_visit, learned_capacity_hint, park_check_error, validate_learned, LevelZeroMap,
 };
 use crate::outcome::{CheckOutcome, CheckStats, Strategy};
 use crate::resolve::normalize_literals;
@@ -41,12 +40,6 @@ use std::time::Instant;
 /// Everything pass 1 learns from the trace: use counts, the set of
 /// defined learned ids, the level-0 assignment, the final-conflict list
 /// and the pin set.
-///
-/// The `absorb_*` methods perform the per-event validation in trace
-/// order. The sequential pass calls them directly; the sharded pass of
-/// [`crate::shard`] replays compact per-event records through the
-/// same methods after merging, so both reject a malformed trace with the
-/// identical first error.
 #[derive(Default)]
 pub(crate) struct Pass1Tables {
     pub use_counts: FxHashMap<u64, u32>,
@@ -57,61 +50,14 @@ pub(crate) struct Pass1Tables {
 }
 
 impl Pass1Tables {
-    /// Pre-sizes the per-clause tables for roughly `additional` more
-    /// learned-clause entries (a hint derived from the encoded trace
-    /// size; see [`table_capacity_hint`]).
-    pub(crate) fn reserve(&mut self, additional: usize) {
-        self.use_counts.reserve(additional);
-        self.defined.reserve(additional);
-    }
-
-    /// Absorbs a learned-clause record (without its source counting —
-    /// counting is the shardable part and is done by the caller).
-    pub(crate) fn absorb_learned(
-        &mut self,
-        id: u64,
-        num_sources: usize,
-        num_original: usize,
-    ) -> Result<(), CheckError> {
-        validate_learned(id, num_sources, num_original, |c| self.defined.contains(&c))?;
-        self.defined.insert(id);
-        self.use_counts.entry(id).or_insert(0);
-        Ok(())
-    }
-
-    /// Absorbs a level-0 assignment record, pinning its antecedent.
-    pub(crate) fn absorb_level_zero(
-        &mut self,
-        lit: Lit,
-        antecedent: u64,
-        num_original: usize,
-    ) -> Result<(), CheckError> {
-        self.level_zero.insert(lit, antecedent)?;
-        if antecedent >= num_original as u64 {
-            self.pinned.insert(antecedent);
-        }
-        Ok(())
-    }
-
-    /// Absorbs a final-conflict record. Deliberately does **not** pin the
-    /// id: only the first final conflict starts the empty-clause
-    /// derivation, and pinning the others would keep dead clauses
-    /// resident for the whole resolution pass (see [`finish`]).
-    ///
-    /// [`finish`]: Pass1Tables::finish
-    pub(crate) fn absorb_final(&mut self, id: u64) {
-        self.final_ids.push(id);
-    }
-
     /// Closes pass 1: selects the derivation's start clause and pins it.
     ///
-    /// Earlier versions pinned *every* `FinalConflict` id even though the
-    /// derivation only ever starts from the first one, so duplicate or
-    /// extra final-conflict records kept dead clauses resident and
-    /// inflated `peak_memory_bytes` — defeating the bounded-memory
-    /// guarantee this strategy exists for. Only the start id is pinned
-    /// now.
-    pub(crate) fn finish(&mut self, num_original: usize) -> Result<u64, CheckError> {
+    /// Only the first final conflict starts the derivation, so only it
+    /// is pinned: pinning every `FinalConflict` id would keep dead
+    /// clauses resident for the whole resolution pass and inflate
+    /// `peak_memory_bytes` — defeating the bounded-memory guarantee this
+    /// strategy exists for.
+    fn finish(&mut self, num_original: usize) -> Result<u64, CheckError> {
         let start_id = *self.final_ids.first().ok_or(CheckError::NoFinalConflict)?;
         if start_id >= num_original as u64 {
             self.pinned.insert(start_id);
@@ -126,15 +72,19 @@ impl Pass1Tables {
     }
 }
 
-/// Runs pass 1 sequentially over a streaming source.
+/// Runs pass 1 over a streaming source, validating every record in
+/// trace order. `learned_hint` pre-sizes the per-clause tables (see
+/// [`learned_capacity_hint`]).
 pub(crate) fn sequential_pass1<S: TraceSource + ?Sized>(
     trace: &S,
     num_original: usize,
+    learned_hint: Option<usize>,
     cancel: &CancelFlag,
 ) -> Result<(Pass1Tables, u64), CheckError> {
     let mut tables = Pass1Tables::default();
-    if let Some(encoded) = trace.encoded_size() {
-        tables.reserve(table_capacity_hint(encoded));
+    if let Some(hint) = learned_hint {
+        tables.use_counts.reserve(hint);
+        tables.defined.reserve(hint);
     }
     let mut seen: u64 = 0;
     let mut parked = None;
@@ -146,7 +96,11 @@ pub(crate) fn sequential_pass1<S: TraceSource + ?Sized>(
             }
             match event {
                 EventRef::Learned { id, sources } => {
-                    tables.absorb_learned(id, sources.len(), num_original)?;
+                    validate_learned(id, sources.len(), num_original, |c| {
+                        tables.defined.contains(&c)
+                    })?;
+                    tables.defined.insert(id);
+                    tables.use_counts.entry(id).or_insert(0);
                     for &s in sources {
                         if s >= num_original as u64 {
                             *tables.use_counts.entry(s).or_insert(0) += 1;
@@ -154,9 +108,12 @@ pub(crate) fn sequential_pass1<S: TraceSource + ?Sized>(
                     }
                 }
                 EventRef::LevelZero { lit, antecedent } => {
-                    tables.absorb_level_zero(lit, antecedent, num_original)?;
+                    tables.level_zero.insert(lit, antecedent)?;
+                    if antecedent >= num_original as u64 {
+                        tables.pinned.insert(antecedent);
+                    }
                 }
-                EventRef::FinalConflict { id } => tables.absorb_final(id),
+                EventRef::FinalConflict { id } => tables.final_ids.push(id),
             }
             Ok(())
         })();
@@ -413,7 +370,12 @@ pub(crate) fn run_scoped<S: TraceSource + ?Sized>(
     let mut meter = MemoryMeter::new(config.memory_limit);
 
     let pass1 = Phase::start("check:pass1", obs);
-    let (tables, start_id) = sequential_pass1(trace, num_original, &config.cancel)?;
+    let (tables, start_id) = sequential_pass1(
+        trace,
+        num_original,
+        learned_capacity_hint(trace, None),
+        &config.cancel,
+    )?;
     // Accounting for the bookkeeping tables the strategy keeps resident.
     meter.alloc(tables.resident_bytes())?;
     pass1.finish(obs);

@@ -1,10 +1,8 @@
 //! Cooperative cancellation of a running check.
 //!
 //! A long-lived caller — the `rescheck serve` daemon's watchdog above
-//! all — must be able to stop a check that overruns its deadline, and
-//! the parallel-dag executor must stop its workers once one of them
-//! fails. There is no safe way to kill a thread, so cancellation is
-//! cooperative: each strategy polls a shared flag at its progress-stride
+//! all — must be able to stop a check that overruns its deadline. There
+//! is no safe way to kill a thread, so cancellation is cooperative: each strategy polls a shared flag at its progress-stride
 //! points (every [`crate::depth_first::PROGRESS_STRIDE`] clauses, and
 //! periodically during trace passes) and bails out with
 //! [`CheckError::Cancelled`].

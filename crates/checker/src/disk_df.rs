@@ -41,7 +41,7 @@ use crate::final_phase::{derive_empty_clause, ClauseProvider};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::kernel::ResolutionKernel;
 use crate::memory::{trace_record_bytes, MemoryMeter, INDEX_ENTRY_BYTES, LEVEL_ZERO_RECORD_BYTES};
-use crate::model::{table_capacity_hint, LevelZeroMap};
+use crate::model::{learned_capacity_hint, LevelZeroMap};
 use crate::outcome::{CheckOutcome, CheckStats, Strategy, UnsatCore};
 use crate::resolve::normalize_literals;
 use rescheck_cnf::{Cnf, Lit};
@@ -160,7 +160,7 @@ pub(crate) fn run<S: RandomAccessTrace + ?Sized>(
     let start = Instant::now();
     let num_original = cnf.num_clauses();
     let mut meter = MemoryMeter::new(config.memory_limit);
-    let map = crate::shard::establish_map(trace, config, obs);
+    let map = crate::model::establish_map(trace, config, obs);
     if let Some(map) = map {
         // The encoded trace stays resident (mapped or buffered) behind
         // the cursor for the whole check; charge it under both backings
@@ -171,10 +171,8 @@ pub(crate) fn run<S: RandomAccessTrace + ?Sized>(
     // ---- Pass 1: flat offset index + level-0 records + final conflicts.
     let pass1 = Phase::start("check:pass1", obs);
     let mut entries: Vec<(u64, u64)> = Vec::new();
-    if let Some(index) = map.and_then(TraceMap::block_index) {
-        entries.reserve(index.learned() as usize);
-    } else if let Some(encoded) = trace.encoded_size() {
-        entries.reserve(table_capacity_hint(encoded));
+    if let Some(hint) = learned_capacity_hint(trace, map.and_then(TraceMap::block_index)) {
+        entries.reserve(hint);
     }
     let mut level_zero = LevelZeroMap::default();
     let mut final_ids: Vec<u64> = Vec::new();

@@ -31,11 +31,10 @@ pub enum FailureKind {
     Io,
     /// The check was cancelled cooperatively before reaching a verdict.
     Cancelled,
-    /// The checker itself misbehaved — a worker thread panicked — so no
-    /// verdict was reached. Says nothing about the proof; the *checker*
-    /// should be considered buggy. Callers that manage worker fleets (the
-    /// serve daemon, the parallel strategies) degrade to this instead of
-    /// aborting the process.
+    /// The checker itself misbehaved — it panicked — so no verdict was
+    /// reached. Says nothing about the proof; the *checker* should be
+    /// considered buggy. The serve daemon and parallel-dag degrade to
+    /// this instead of aborting the process.
     Internal,
 }
 
@@ -188,11 +187,12 @@ pub enum CheckError {
     /// e.g. because the serve daemon's watchdog hit the job's deadline.
     /// Not a statement about the trace's validity.
     Cancelled,
-    /// A checker worker thread panicked. The parallel strategies convert
-    /// join failures into this instead of `expect`-aborting the whole
-    /// process, so a poisoned worker degrades into a reportable verdict.
+    /// The checker panicked mid-check. Parallel-dag catches a panic in
+    /// its resolution walk and returns this instead of aborting the
+    /// whole process, so a checker bug degrades into a reportable
+    /// verdict (the serve daemon's workers catch the rest).
     WorkerPanic {
-        /// Which worker died and the panic message it died with.
+        /// Where the panic happened and the message it carried.
         what: String,
     },
 }

@@ -10,8 +10,7 @@
 //!
 //! Determinism is a feature, not just a speed-up: `HashMap`'s per-process
 //! random seed made iteration order differ between runs, and every place
-//! the checker iterates a hot map (e.g. the sharded pass 1's use-count
-//! merge) now behaves identically across runs and `--jobs` values.
+//! the checker iterates a hot map now behaves identically across runs.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};

@@ -27,9 +27,10 @@
 //! - [`check_disk_depth_first`]: depth-first with the trace left on disk
 //!   behind a flat offset index — the same statistics and core as
 //!   depth-first without the resident trace.
-//! - [`check_parallel_dag`]: breadth-first's verification set scheduled
-//!   as a dependency DAG over work-stealing workers, with statistics
-//!   bit-identical for every worker count.
+//! - [`check_parallel_dag`]: breadth-first's verification set rebuilt
+//!   from a dense dependency DAG, walked in trace order on one thread
+//!   with no hash lookups in the resolution loop. (The name is
+//!   historical; no strategy spawns threads.)
 //!
 //! Every strategy folds antecedent chains through one allocation-free
 //! [`ResolutionKernel`], held to the sorted-merge oracle
@@ -81,7 +82,6 @@ mod dag;
 mod depth_first;
 mod disk_df;
 mod error;
-mod executor;
 mod final_phase;
 mod fxhash;
 pub mod kernel;
@@ -91,7 +91,6 @@ mod outcome;
 mod proof;
 pub mod resolve;
 mod scratch;
-mod shard;
 mod trim;
 
 pub use api::{

@@ -36,14 +36,14 @@ pub(crate) const USE_COUNT_BYTES: u64 = 12;
 /// depth-first strategy: two `u64`s per learned clause).
 pub(crate) const INDEX_ENTRY_BYTES: u64 = 16;
 
-/// Accounted bytes per node of the parallel-dag executor's dependency
-/// graph: the node record itself plus its completion slot, in-degree
-/// counter and id-map entry.
-pub(crate) const DAG_NODE_BYTES: u64 = 64;
+/// Accounted bytes per node of the parallel-dag dependency graph: the
+/// 24-byte node record, its 16-byte completion slot and its 16-byte
+/// learned-id → node map entry.
+pub(crate) const DAG_NODE_BYTES: u64 = 24 + 16 + 16;
 
 /// Accounted bytes per resolve-source entry of the parallel-dag
-/// dependency graph (the tagged forward edge plus its reverse edge).
-pub(crate) const DAG_SOURCE_BYTES: u64 = 8;
+/// dependency graph: one tagged `u32`.
+pub(crate) const DAG_SOURCE_BYTES: u64 = 4;
 
 /// Page granularity for charging the clause arena's flat literal store.
 ///

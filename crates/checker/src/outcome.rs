@@ -20,13 +20,12 @@ pub enum Strategy {
     /// to [`Strategy::DepthFirst`], without the `O(trace)` memory term
     /// (requires a random-access trace).
     DiskDepthFirst,
-    /// Breadth-first's verification set scheduled as a dependency DAG: a
-    /// dense build pass resolves every id to an index once, then a
-    /// work-stealing executor rebuilds independent learned clauses
-    /// concurrently, committing completions in trace order so clauses
-    /// are still freed at their last use. Same verdict and same
-    /// `clauses_built` / `resolutions` / `peak_memory_bytes` for any
-    /// worker count.
+    /// Breadth-first's verification set rebuilt from a dependency DAG: a
+    /// dense build pass resolves every id to an index once, then one
+    /// thread walks the nodes in trace order with no hash lookups,
+    /// freeing each clause at its last use. Same verdict, `clauses_built`
+    /// and `resolutions` as breadth-first. (The name is historical: the
+    /// walk was once spread over worker threads.)
     ParallelDag,
 }
 

@@ -290,8 +290,7 @@ fn df_core_checks_out_as_unsat_on_xor_cycles() {
 
 /// The `no_mmap` escape hatch swaps only the trace *backing*: every
 /// verdict and every stat must be bit-identical with the mapping on and
-/// off, for every map-consuming strategy, at every worker count — and
-/// parallel-dag must also agree across worker counts.
+/// off, for every map-consuming strategy.
 #[test]
 fn no_mmap_checks_are_bit_identical() {
     let cnf = pigeonhole(5);
@@ -306,47 +305,28 @@ fn no_mmap_checks_are_bit_identical() {
         writer.flush().unwrap();
     }
 
-    for (strategy, job_counts) in [
-        (Strategy::ParallelDag, &[1usize, 2, 4][..]),
-        (Strategy::DiskDepthFirst, &[1][..]),
-    ] {
-        let mut across_jobs: Option<(u64, u64, u64, u64)> = None;
-        for &jobs in job_counts {
-            let mut across_backings: Option<(u64, u64, u64, u64)> = None;
-            for no_mmap in [false, true] {
-                // Fresh handle per run: a FileTrace caches the first
-                // backing it establishes.
-                let trace = FileTrace::open(&path).unwrap();
-                let config = CheckConfig {
-                    jobs,
-                    parallel_min_learned: 0,
-                    no_mmap,
-                    ..CheckConfig::default()
-                };
-                let outcome = check_unsat_claim(&cnf, &trace, strategy, &config)
-                    .unwrap_or_else(|e| panic!("{strategy} jobs={jobs} no_mmap={no_mmap}: {e}"));
-                let key = (
-                    outcome.stats.learned_in_trace,
-                    outcome.stats.clauses_built,
-                    outcome.stats.resolutions,
-                    outcome.stats.peak_memory_bytes,
-                );
-                if let Some(prev) = across_backings {
-                    assert_eq!(
-                        prev, key,
-                        "{strategy} jobs={jobs}: stats differ across mmap on/off"
-                    );
-                }
-                across_backings = Some(key);
+    for strategy in [Strategy::ParallelDag, Strategy::DiskDepthFirst] {
+        let mut across_backings: Option<(u64, u64, u64, u64)> = None;
+        for no_mmap in [false, true] {
+            // Fresh handle per run: a FileTrace caches the first
+            // backing it establishes.
+            let trace = FileTrace::open(&path).unwrap();
+            let config = CheckConfig {
+                no_mmap,
+                ..CheckConfig::default()
+            };
+            let outcome = check_unsat_claim(&cnf, &trace, strategy, &config)
+                .unwrap_or_else(|e| panic!("{strategy} no_mmap={no_mmap}: {e}"));
+            let key = (
+                outcome.stats.learned_in_trace,
+                outcome.stats.clauses_built,
+                outcome.stats.resolutions,
+                outcome.stats.peak_memory_bytes,
+            );
+            if let Some(prev) = across_backings {
+                assert_eq!(prev, key, "{strategy}: stats differ across mmap on/off");
             }
-            if let Some(prev) = across_jobs {
-                assert_eq!(
-                    prev,
-                    across_backings.unwrap(),
-                    "{strategy}: stats differ across worker counts"
-                );
-            }
-            across_jobs = across_backings;
+            across_backings = Some(key);
         }
     }
     std::fs::remove_file(&path).ok();

@@ -252,41 +252,3 @@ fn truncated_binary_traces_are_rejected_by_every_strategy() {
         std::fs::remove_file(&path).ok();
     }
 }
-
-/// Repeated parallel-dag runs must not accumulate threads: the scoped
-/// decode and executor workers are joined before `check_unsat_claim`
-/// returns. Best-effort (needs procfs); a systematic leak of even one
-/// worker per call would trip the slack immediately.
-#[test]
-fn parallel_dag_leaks_no_threads() {
-    let thread_count = || -> Option<usize> {
-        std::fs::read_to_string("/proc/self/status")
-            .ok()?
-            .lines()
-            .find(|l| l.starts_with("Threads:"))?
-            .split_whitespace()
-            .nth(1)?
-            .parse()
-            .ok()
-    };
-    let (cnf, events) = genuine();
-    let Some(before) = thread_count() else {
-        return;
-    };
-    let config = CheckConfig {
-        jobs: 4,
-        parallel_min_learned: 0,
-        ..CheckConfig::default()
-    };
-    let runs = 16;
-    for _ in 0..runs {
-        check_unsat_claim(&cnf, &events, CheckStrategy::ParallelDag, &config).unwrap();
-    }
-    let after = thread_count().unwrap();
-    // A leaked worker per run would mean +16 on a leak; allow noise from
-    // concurrently running tests.
-    assert!(
-        after < before + runs,
-        "parallel-dag leaked threads: {before} -> {after}"
-    );
-}

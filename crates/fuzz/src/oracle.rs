@@ -39,18 +39,6 @@ use rescheck_trace::{MemorySink, TraceSink, ALL_MUTATIONS};
 use std::fmt;
 use std::io::Cursor;
 
-/// The checker configuration the oracle matrix runs under: a fixed
-/// worker count and no small-trace fallback, so parallel-dag's sharded
-/// pass 1 and executor are exercised even on the tiny traces
-/// fuzzing produces.
-fn oracle_config() -> CheckConfig {
-    CheckConfig {
-        jobs: 3,
-        parallel_min_learned: 0,
-        ..CheckConfig::default()
-    }
-}
-
 /// Deliberate oracle sabotage, for validating the shrinker and the
 /// artifact pipeline end to end (a fuzzer whose failure path is never
 /// exercised is itself untested code).
@@ -355,7 +343,7 @@ pub fn run_iteration(iteration: u64, iter_seed: u64, cfg: &OracleConfig) -> Iter
             let mut matrix_note = String::new();
             if found.is_none() {
                 counters.matrices = 1;
-                let reports = run_all_strategies(&cnf, &events, &oracle_config());
+                let reports = run_all_strategies(&cnf, &events, &CheckConfig::default());
                 match verify_valid_agreement(&reports) {
                     Ok(summary) => {
                         matrix_note = format!(
@@ -454,7 +442,7 @@ fn run_mutants(
             counters.mutants_inapplicable += 1;
             continue;
         }
-        let reports = run_all_strategies(cnf, &mutant_events, &oracle_config());
+        let reports = run_all_strategies(cnf, &mutant_events, &CheckConfig::default());
         if let Err(d) = verify_cross_consistency(&reports) {
             return (
                 format!(" mutants={rejected}-then-FINDING"),
@@ -538,7 +526,7 @@ fn run_roundtrip(
             theirs.len()
         ));
     }
-    if let Err(d) = verify_synthesized_trace(cnf, &reingested.events, &oracle_config()) {
+    if let Err(d) = verify_synthesized_trace(cnf, &reingested.events, &CheckConfig::default()) {
         return fail(format!("matrix rejected the round-tripped trace: {d}"));
     }
     counters.roundtrips += 1;
@@ -556,7 +544,7 @@ fn run_roundtrip(
             Err(_) => counters.proof_mutants_rejected += 1,
             Ok(report) => {
                 if report.resolution_checkable() {
-                    let reports = run_all_strategies(cnf, &report.events, &oracle_config());
+                    let reports = run_all_strategies(cnf, &report.events, &CheckConfig::default());
                     if let Err(d) = verify_cross_consistency(&reports) {
                         return (
                             " proof-mutants=FINDING".to_string(),
@@ -619,7 +607,7 @@ pub fn instance_failure_reproduces(
                 return false;
             }
             let events = sink.into_events();
-            let reports = run_all_strategies(cnf, &events, &oracle_config());
+            let reports = run_all_strategies(cnf, &events, &CheckConfig::default());
             match cfg.inject {
                 Some(InjectedBug::RejectValid) => verify_valid_agreement(&reports).is_ok(),
                 _ => verify_valid_agreement(&reports).is_err(),
@@ -644,7 +632,7 @@ pub fn instance_failure_reproduces(
 
 /// Does a trace-level failure still reproduce on `events`?
 pub fn trace_failure_reproduces(cnf: &Cnf, events: &[TraceEvent], cfg: &OracleConfig) -> bool {
-    let reports = run_all_strategies(cnf, events, &oracle_config());
+    let reports = run_all_strategies(cnf, events, &CheckConfig::default());
     match cfg.inject {
         Some(InjectedBug::AcceptMutants) => {
             verify_cross_consistency(&reports).is_ok() && reports.iter().all(|r| !r.run.accepted())

@@ -14,16 +14,6 @@ use rescheck_solver::{SolveResult, Solver, SolverConfig};
 use rescheck_trace::{MemorySink, TraceEvent};
 use rescheck_workloads::{graph_color, parity, pigeonhole, Instance};
 
-/// The oracle configuration the fuzz harness uses: small thread count,
-/// no parallel fallback threshold, so every strategy genuinely runs.
-fn oracle_config() -> CheckConfig {
-    CheckConfig {
-        jobs: 3,
-        parallel_min_learned: 0,
-        ..CheckConfig::default()
-    }
-}
-
 /// Solves a known-UNSAT instance with a seeded solver and returns the
 /// formula plus the recorded resolve trace.
 fn solve_unsat(instance: &Instance, seed: u64) -> (Cnf, Vec<TraceEvent>) {
@@ -85,9 +75,10 @@ fn lrat_roundtrip_preserves_the_refutation() {
             );
 
             // The synthesized trace convinces every native strategy.
-            verify_synthesized_trace(&cnf, &reingested.events, &oracle_config()).unwrap_or_else(
-                |d| panic!("{instance} seed {seed}: strategies disagreed on the round-trip: {d}"),
-            );
+            verify_synthesized_trace(&cnf, &reingested.events, &CheckConfig::default())
+                .unwrap_or_else(|d| {
+                    panic!("{instance} seed {seed}: strategies disagreed on the round-trip: {d}")
+                });
         }
     }
 }
@@ -133,9 +124,9 @@ fn drat_projection_of_exported_proof_ingests_cleanly() {
             .unwrap_or_else(|e| panic!("{instance}: DRAT ingest failed: {e}"));
         assert!(report.resolution_checkable(), "{instance}");
 
-        verify_synthesized_trace(&cnf, &report.events, &oracle_config()).unwrap_or_else(|d| {
-            panic!("{instance}: strategies disagreed on the DRAT-synthesized trace: {d}")
-        });
+        verify_synthesized_trace(&cnf, &report.events, &CheckConfig::default()).unwrap_or_else(
+            |d| panic!("{instance}: strategies disagreed on the DRAT-synthesized trace: {d}"),
+        );
 
         // The DRAT binary encoding round-trips the projected proof too.
         let binary = drat::write_binary(&steps);

@@ -7,9 +7,8 @@
 //! handful of integer updates — no allocation, no branching on size —
 //! so histograms are safe to feed from checker and solver hot loops.
 //!
-//! Snapshots merge bucket-wise, which is how per-worker histograms from
-//! the parallel checker aggregate into one distribution while the
-//! prefixed per-worker copies (`check.worker.N.*`) keep the breakdown.
+//! Snapshots merge bucket-wise, so histograms recorded separately (one
+//! per serve job, say) aggregate into one distribution.
 
 use crate::json::Json;
 

@@ -28,7 +28,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod buffer;
 pub mod flight;
 pub mod histogram;
 pub mod json;
@@ -38,8 +37,7 @@ pub mod progress;
 pub mod prom;
 pub mod span;
 
-pub use buffer::{EventBuffer, OwnedEvent};
-pub use flight::{FlightRecorder, DEFAULT_FLIGHT_CAPACITY, FLIGHT_SCHEMA};
+pub use flight::{FlightRecorder, OwnedEvent, DEFAULT_FLIGHT_CAPACITY, FLIGHT_SCHEMA};
 pub use histogram::Histogram;
 pub use json::{Json, ParseError};
 pub use metrics::{Registry, SpanRec};

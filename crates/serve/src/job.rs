@@ -182,7 +182,6 @@ pub fn run_job(spec: &JobSpec, env: &JobEnv<'_>, scratch: &mut CheckScratch) -> 
             scratch.begin_job(formula.token);
             let config = CheckConfig {
                 memory_limit: lease.bytes(),
-                jobs: spec.inner_jobs,
                 cancel: cancel.clone(),
                 ..CheckConfig::default()
             };

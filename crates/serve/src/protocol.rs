@@ -22,10 +22,14 @@
 //! | `proof_format` | `native` (default) `drat` `drup` `lrat` — how to read the trace payload |
 //! | `memory_bytes` | per-job accounted-memory cap                             |
 //! | `timeout_ms`   | per-job wall-clock deadline                              |
-//! | `jobs`         | inner worker threads for `pdag` (default 1)              |
+//! | `jobs`         | accepted (an integer) and ignored for one release        |
 //! | `inject`       | chaos hook: `panic` or `sleep:<ms>` (tests, drills)      |
 //!
 //! Exactly one of `trace` / `trace_path` / `model` selects the claim.
+//! `jobs` once set pdag's worker threads; pdag is serial now, so the key
+//! still parses (a non-integer value is `malformed`) but does nothing,
+//! like the `hybrid` and `pbf` strategy aliases. All three go in the
+//! release after.
 
 use rescheck_checker::Strategy;
 use rescheck_interop::ProofFormat;
@@ -104,8 +108,6 @@ pub struct JobSpec {
     pub memory_bytes: Option<u64>,
     /// Per-job wall-clock deadline; `None` = the daemon default.
     pub timeout_ms: Option<u64>,
-    /// Inner worker threads (only `pdag` uses more than one).
-    pub inner_jobs: usize,
     /// How to read UNSAT evidence: `None` = native resolve trace,
     /// `Some` = a clausal proof ingested into a synthetic trace first.
     pub proof_format: Option<ProofFormat>,
@@ -265,9 +267,8 @@ pub fn parse_frame(line: &str) -> Result<Frame, FrameError> {
     }
     let memory_bytes = u64_field(&value, "memory_bytes").map_err(|e| fail(e.message))?;
     let timeout_ms = u64_field(&value, "timeout_ms").map_err(|e| fail(e.message))?;
-    let inner_jobs = u64_field(&value, "jobs")
-        .map_err(|e| fail(e.message))?
-        .map_or(1, |j| j as usize);
+    // Ignored: pdag no longer runs worker threads.
+    u64_field(&value, "jobs").map_err(|e| fail(e.message))?;
     let inject = match value.get("inject").map(|v| (v, v.as_str())) {
         None => None,
         Some((_, Some("panic"))) => Some(Inject::Panic),
@@ -288,7 +289,6 @@ pub fn parse_frame(line: &str) -> Result<Frame, FrameError> {
         strategy,
         memory_bytes,
         timeout_ms,
-        inner_jobs,
         proof_format,
         inject,
     })))
@@ -378,7 +378,6 @@ mod tests {
         };
         assert_eq!(spec.id, "j1");
         assert_eq!(spec.strategy, Strategy::DepthFirst);
-        assert_eq!(spec.inner_jobs, 1);
         assert_eq!(spec.memory_bytes, None);
         assert_eq!(spec.timeout_ms, None);
         assert_eq!(spec.inject, None);

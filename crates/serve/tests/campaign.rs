@@ -78,7 +78,6 @@ fn one_shot_unsat(
     let trace = MemorySink::from(events);
     let config = CheckConfig {
         memory_limit: memory,
-        jobs: 1,
         ..CheckConfig::default()
     };
     match check_unsat_claim(cnf, &trace, strategy, &config) {

@@ -30,6 +30,32 @@ fn sat_job(id: &str, extra: &[(&str, Json)]) -> String {
     job_frame(id, &fields)
 }
 
+/// `jobs` once sized pdag's worker pool. It still parses for one
+/// release — an integer is accepted and ignored, anything else is
+/// malformed — so old drivers keep working.
+#[test]
+fn legacy_jobs_key_is_accepted_and_ignored() {
+    let server = Server::start(one_worker());
+    let buf = SharedBuf::new();
+    let reply = buf.reply();
+    let cnf = pigeonhole(3);
+    let line = job_frame(
+        "pdag-jobs4",
+        &[
+            ("cnf", Json::Str(cnf_text(&cnf))),
+            ("trace", Json::Str(unsat_trace_text(&cnf))),
+            ("strategy", Json::Str("pdag".to_string())),
+            ("jobs", Json::Int(4)),
+        ],
+    );
+    assert_eq!(server.handle_line(&line, &reply), LineOutcome::Submitted);
+    let bad = sat_job("jobs-text", &[("jobs", Json::Str("four".to_string()))]);
+    assert_eq!(server.handle_line(&bad, &reply), LineOutcome::Replied);
+    let frames = buf.wait_frames(2);
+    assert_eq!(status_of(verdict_for(&frames, "pdag-jobs4")), "valid");
+    assert_eq!(status_of(verdict_for(&frames, "jobs-text")), "malformed");
+}
+
 #[test]
 fn malformed_frames_each_get_a_verdict_and_the_session_survives() {
     let server = Server::start(one_worker());

@@ -367,8 +367,8 @@ fn decode_varint_chunk(chunk: &[u8; 10]) -> io::Result<(u64, usize)> {
 /// in-memory byte slice, with no read buffer and no copy.
 ///
 /// This is the decoder the [`crate::TraceMap`] paths use — one-shot
-/// strategies, `rescheck serve` jobs and the sharded parallel pass-1
-/// scans all decode straight off the mapped bytes. It accepts exactly
+/// strategies and `rescheck serve` jobs decode straight off the mapped
+/// bytes. It accepts exactly
 /// the streams [`BlockDecoder`] accepts and reports identical
 /// diagnostics (kind and message) on malformed or truncated input; the
 /// differential tests below run both decoders over the same corpora.
@@ -417,19 +417,12 @@ impl<'a> SliceDecoder<'a> {
                 "not a rescheck binary trace (bad magic)",
             ));
         }
-        Ok(Self::resume_at(data, BINARY_MAGIC.len()))
-    }
-
-    /// Creates a decoder positioned at byte `pos` of `data`, which must
-    /// be a record boundary (e.g. a [`crate::ShardRange`] start). No
-    /// magic is consumed or checked.
-    pub fn resume_at(data: &'a [u8], pos: usize) -> Self {
-        SliceDecoder {
+        Ok(SliceDecoder {
             data,
-            pos,
+            pos: BINARY_MAGIC.len(),
             scratch: Vec::new(),
             events: 0,
-        }
+        })
     }
 
     /// Current byte offset into the slice (a record boundary between

@@ -62,7 +62,6 @@ mod map;
 pub mod mutate;
 mod random;
 mod sink;
-mod snapshot;
 mod source;
 pub mod varint;
 
@@ -70,9 +69,8 @@ pub use ascii::{AsciiReader, AsciiWriter};
 pub use binary::{BinaryReader, BinaryWriter, BINARY_MAGIC};
 pub use block::{BlockDecoder, BlockEvents, SliceDecoder};
 pub use event::{EventRef, TraceEvent};
-pub use map::{no_mmap_requested, BlockIndex, ShardRange, TraceMap, NO_MMAP_ENV};
+pub use map::{no_mmap_requested, BlockIndex, TraceMap, NO_MMAP_ENV};
 pub use mutate::{Mutation, ALL_MUTATIONS};
 pub use random::{OffsetEventsIter, RandomAccessTrace, TraceCursor};
 pub use sink::{CountingSink, MemorySink, NullSink, TeeSink, TraceSink};
-pub use snapshot::{TraceChunk, TraceSnapshot};
 pub use source::{collect_events, read_all, FileTrace, ReadTraceError, TraceFormat, TraceSource};

@@ -8,7 +8,7 @@
 //! or under the `RESCHECK_NO_MMAP` escape hatch — via a
 //! read-whole-file buffer. Both backings present the identical
 //! slice, so everything layered on top (slice decoding, offset
-//! iteration, sharded parallel scans) behaves bit-identically across
+//! iteration, the block index) behaves bit-identically across
 //! backings; only the page-cache behaviour differs.
 //!
 //! # Safety invariants of the mapped backing
@@ -29,7 +29,8 @@
 //!   itself observed through the mapping.
 //!
 //! The map itself is shared read-only (`PROT_READ`, `MAP_PRIVATE`), so
-//! handing `&[u8]` slices to decoder threads is safe: no writer exists.
+//! sharing its `&[u8]` across threads (serve jobs on one cached trace)
+//! is safe: no writer exists.
 //!
 //! # Accounting
 //!
@@ -53,10 +54,6 @@ use std::sync::OnceLock;
 /// read-whole-file backing is used instead). Any non-empty value other
 /// than `0` disables mapping. Decode results are identical either way.
 pub const NO_MMAP_ENV: &str = "RESCHECK_NO_MMAP";
-
-/// Events per [`BlockIndex`] mark: the granularity at which a mapped
-/// trace can be sharded across decode workers.
-pub(crate) const MARK_STRIDE: u64 = 1024;
 
 #[cfg(unix)]
 mod sys {
@@ -280,7 +277,7 @@ impl TraceMap {
     /// must then fall back to the streaming sequential decode path,
     /// which reproduces the exact sequential error semantics. A `Some`
     /// index certifies the byte stream is structurally clean end to
-    /// end, which is what makes sharded parallel decoding safe.
+    /// end, so its counts are exact.
     pub fn block_index(&self) -> Option<&BlockIndex> {
         self.index
             .get_or_init(|| BlockIndex::scan(self.bytes()))
@@ -306,43 +303,17 @@ pub fn no_mmap_requested() -> bool {
     std::env::var_os(NO_MMAP_ENV).is_some_and(|v| !v.is_empty() && v != *"0")
 }
 
-/// A mark every [`MARK_STRIDE`] events: a byte offset at which a record
-/// provably starts, with the index of that record.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct BlockMark {
-    offset: usize,
-    event_idx: u64,
-}
-
-/// One worker's contiguous slice of a mapped trace: a byte range that
-/// starts and ends on record boundaries, plus the global index of its
-/// first event (for the deterministic trace-order merge).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShardRange {
-    /// Byte offset of the range's first record.
-    pub start: usize,
-    /// Byte offset one past the range's last record.
-    pub end: usize,
-    /// Global (trace-order) index of the range's first event.
-    pub first_event: u64,
-}
-
 /// A structural index over a mapped binary trace.
 ///
 /// Built by one sequential *skip-scan* that validates every record's
 /// framing — tag, varint well-formedness, source-count plausibility,
 /// literal-code range, no mid-record truncation — without materializing
-/// any event, and drops a [`BlockMark`] every [`MARK_STRIDE`] events.
-/// The marks let [`BlockIndex::shard_ranges`] cut the byte stream into
-/// disjoint ranges that each start on a record boundary, so any number
-/// of workers can decode in parallel and a trace-order merge of their
-/// outputs is bit-identical to a sequential decode.
+/// any event. A trace that indexes cleanly has exact event and
+/// learned-clause counts, which the checkers use to size their tables.
 #[derive(Clone, Debug)]
 pub struct BlockIndex {
-    marks: Vec<BlockMark>,
     events: u64,
     learned: u64,
-    total_len: usize,
 }
 
 impl BlockIndex {
@@ -355,14 +326,7 @@ impl BlockIndex {
         let mut pos = BINARY_MAGIC.len();
         let mut events: u64 = 0;
         let mut learned: u64 = 0;
-        let mut marks = Vec::new();
         while pos < data.len() {
-            if events.is_multiple_of(MARK_STRIDE) {
-                marks.push(BlockMark {
-                    offset: pos,
-                    event_idx: events,
-                });
-            }
             let tag = data[pos];
             pos += 1;
             match tag {
@@ -391,12 +355,7 @@ impl BlockIndex {
             }
             events += 1;
         }
-        Some(BlockIndex {
-            marks,
-            events,
-            learned,
-            total_len: data.len(),
-        })
+        Some(BlockIndex { events, learned })
     }
 
     /// Total number of events in the trace.
@@ -404,54 +363,10 @@ impl BlockIndex {
         self.events
     }
 
-    /// Number of learned-clause events in the trace (the exact value the
-    /// small-trace parallel fallback wants, replacing the encoded-size
-    /// estimate).
+    /// Number of learned-clause events in the trace (the exact table
+    /// size the checkers reserve, replacing the encoded-size estimate).
     pub fn learned(&self) -> u64 {
         self.learned
-    }
-
-    /// Cuts the trace into at most `shards` disjoint, contiguous,
-    /// record-aligned byte ranges of near-equal event counts, in trace
-    /// order. Fewer ranges come back when the trace has too few marks
-    /// to split further; at least one range is returned for a non-empty
-    /// trace, and an empty ranges list for an event-free trace.
-    pub fn shard_ranges(&self, shards: usize) -> Vec<ShardRange> {
-        if self.events == 0 {
-            return Vec::new();
-        }
-        let shards = shards.max(1) as u64;
-        let mut ranges = Vec::new();
-        let mark_at = |event_target: u64| -> BlockMark {
-            // Largest mark at or below the target; marks are sorted by
-            // event index so a binary search would also do, but the
-            // mark list is tiny relative to the trace.
-            let i = self
-                .marks
-                .partition_point(|m| m.event_idx <= event_target)
-                .saturating_sub(1);
-            self.marks[i]
-        };
-        let mut prev = mark_at(0);
-        for s in 1..=shards {
-            let boundary = if s == shards {
-                BlockMark {
-                    offset: self.total_len,
-                    event_idx: self.events,
-                }
-            } else {
-                mark_at(self.events * s / shards)
-            };
-            if boundary.offset > prev.offset {
-                ranges.push(ShardRange {
-                    start: prev.offset,
-                    end: boundary.offset,
-                    first_event: prev.event_idx,
-                });
-                prev = boundary;
-            }
-        }
-        ranges
     }
 }
 
@@ -594,62 +509,6 @@ mod tests {
         let path = write_temp("truncated", &truncated);
         let map = TraceMap::open(&path).unwrap();
         assert!(map.block_index().is_none());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn shard_ranges_cover_the_trace_without_overlap() {
-        let bytes = seeded_trace(4, 5_000);
-        let path = write_temp("shards", &bytes);
-        let map = TraceMap::open(&path).unwrap();
-        let index = map.block_index().unwrap();
-        for shards in [1, 2, 3, 4, 8, 100] {
-            let ranges = index.shard_ranges(shards);
-            assert!(!ranges.is_empty());
-            assert!(ranges.len() <= shards.max(1));
-            assert_eq!(ranges[0].start, BINARY_MAGIC.len());
-            assert_eq!(ranges[0].first_event, 0);
-            assert_eq!(ranges.last().unwrap().end, bytes.len());
-            for pair in ranges.windows(2) {
-                assert_eq!(pair[0].end, pair[1].start, "{shards} shards");
-                assert!(pair[0].first_event < pair[1].first_event);
-            }
-            // Decoding every range and concatenating reproduces the
-            // sequential decode (the merge rule the checkers rely on).
-            let sequential: Vec<_> = {
-                let mut d = SliceDecoder::new(map.bytes()).unwrap();
-                let mut all = Vec::new();
-                while let Some(e) = d.next_event().unwrap() {
-                    all.push(e.to_owned());
-                }
-                all
-            };
-            let mut sharded = Vec::new();
-            for range in &ranges {
-                let mut d = SliceDecoder::resume_at(map.bytes(), range.start);
-                assert_eq!(sharded.len() as u64, range.first_event);
-                while d.offset() < range.end {
-                    let e = d.next_event().unwrap().expect("range ends on boundary");
-                    sharded.push(e.to_owned());
-                }
-                assert_eq!(d.offset(), range.end);
-            }
-            assert_eq!(sharded, sequential);
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn shard_ranges_of_tiny_traces_collapse() {
-        let bytes = seeded_trace(5, 3);
-        let path = write_temp("tiny", &bytes);
-        let map = TraceMap::open(&path).unwrap();
-        let index = map.block_index().unwrap();
-        let ranges = index.shard_ranges(8);
-        // Only one mark exists below MARK_STRIDE events.
-        assert_eq!(ranges.len(), 1);
-        assert_eq!(ranges[0].start, BINARY_MAGIC.len());
-        assert_eq!(ranges[0].end, bytes.len());
         std::fs::remove_file(&path).ok();
     }
 }

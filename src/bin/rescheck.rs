@@ -5,7 +5,7 @@
 //! rescheck solve <file.cnf> [--trace <out>] [--binary] [--no-learning]
 //!                [--no-deletion] [--no-restarts]
 //! rescheck check <file.cnf> <trace> [--strategy df|bf|dfd|pdag]
-//!                [--mem-limit <bytes>] [--jobs <n>]
+//!                [--mem-limit <bytes>]
 //!                [--proof-format native|drat|drup|lrat]
 //! rescheck export <file.cnf> <trace> [--out <proof.lrat>] [--binary]
 //! rescheck core  <file.cnf> [--iterations <n>] [--out <core.cnf>]
@@ -71,7 +71,7 @@ USAGE:
   rescheck solve <file.cnf> [--trace <out>] [--binary]
                  [--no-learning] [--no-deletion] [--no-restarts]
   rescheck check <file.cnf> <trace> [--strategy df|bf|dfd|pdag]
-                 [--mem-limit <bytes>] [--jobs <n>] [--no-mmap]
+                 [--mem-limit <bytes>] [--no-mmap]
                  (pass `-` as <trace> to read the trace from stdin,
                  ASCII or binary, sniffed by magic)
                  (df builds only the clauses the proof needs and yields an
@@ -79,12 +79,12 @@ USAGE:
                  order, freeing each after its last use; dfd is df with
                  the trace left on disk — same verdict, core and
                  resolution stats, with only an offset index resident;
-                 pdag is bf's verification set scheduled as a dependency
-                 DAG across <n> work-stealing workers, capped at the
-                 core count, with bit-identical stats for any worker
-                 count — --jobs 0 = auto. The removed strategies' names
-                 stay accepted for one release: hybrid runs dfd, pbf and
-                 parallel-bf run pdag)
+                 pdag is bf's verification set rebuilt from a dense
+                 dependency DAG, walked in trace order on one thread.
+                 Accepted for one release and then removed: the names
+                 hybrid (runs dfd) and pbf/parallel-bf (run pdag), and
+                 --jobs <n>, which still parses but is ignored — no
+                 strategy runs worker threads)
                  (binary file traces are memory-mapped and decoded in
                  place by dfd/pdag; --no-mmap, or RESCHECK_NO_MMAP=1
                  in the environment, swaps the mapping for a buffered
@@ -145,7 +145,7 @@ Observability (solve, check, core, trim, stats, fuzz):
   --metrics-out <path>   write the metrics document to a file instead
   --metrics-format <f>   json (default): rescheck-metrics-v2 with phase
                          timers, counters, gauges, log-bucketed
-                         histograms (check.resolve.*, check.worker.N.*)
+                         histograms (check.resolve.*)
                          and the hierarchical span tree;
                          prom: Prometheus text exposition of the
                          counters, gauges, phases and histograms
@@ -435,10 +435,10 @@ fn cmd_check(rest: &[String]) -> CliResult {
     let memory_limit = take_opt(&mut args, "--mem-limit")?
         .map(|s| s.parse::<u64>())
         .transpose()?;
-    let jobs = take_opt(&mut args, "--jobs")?
+    // Accepted and ignored for one release: pdag no longer runs workers.
+    take_opt(&mut args, "--jobs")?
         .map(|s| s.parse::<usize>())
-        .transpose()?
-        .unwrap_or(0);
+        .transpose()?;
     let no_mmap = take_flag(&mut args, "--no-mmap") || rescheck::trace::no_mmap_requested();
     let flight_out = take_opt(&mut args, "--flight-out")?;
     let proof_format = match take_opt(&mut args, "--proof-format")?.as_deref() {
@@ -577,7 +577,6 @@ fn cmd_check(rest: &[String]) -> CliResult {
     }
     let config = CheckConfig {
         memory_limit,
-        jobs,
         no_mmap,
         ..CheckConfig::default()
     };
