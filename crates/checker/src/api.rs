@@ -31,19 +31,6 @@ pub struct CheckConfig {
     /// The paper ran both checkers with an 800 MB limit, under which the
     /// depth-first strategy fails on the largest instances (Table 2).
     pub memory_limit: Option<u64>,
-    /// Cap in bytes on the cache of normalized *original* clauses kept by
-    /// the depth-first and breadth-first final phases; `None` =
-    /// uncapped. The cache is charged to the memory meter either way, but
-    /// it only uses budget left over after required clauses — it evicts
-    /// (oldest first) rather than ever causing a memory-out.
-    pub original_cache_bytes: Option<u64>,
-    /// Cap in bytes on [`Strategy::DiskDepthFirst`]'s cache of fetched
-    /// resolve-source lists; `None` = uncapped. Same spare-budget
-    /// discipline as [`original_cache_bytes`]: charged to the meter,
-    /// FIFO-evicted under pressure, never the cause of a memory-out.
-    ///
-    /// [`original_cache_bytes`]: CheckConfig::original_cache_bytes
-    pub source_cache_bytes: Option<u64>,
     /// Request the buffered read-whole-file backing instead of `mmap`
     /// for file traces (the `--no-mmap` CLI flag; the
     /// `RESCHECK_NO_MMAP` environment variable has the same effect).
@@ -60,13 +47,10 @@ pub struct CheckConfig {
 }
 
 impl Default for CheckConfig {
-    /// Unlimited memory, uncapped caches, `mmap` when available and an
-    /// inert cancel flag.
+    /// Unlimited memory, `mmap` when available and an inert cancel flag.
     fn default() -> Self {
         CheckConfig {
             memory_limit: None,
-            original_cache_bytes: None,
-            source_cache_bytes: None,
             no_mmap: false,
             cancel: CancelFlag::default(),
         }
@@ -126,10 +110,9 @@ pub fn check_unsat_claim<S: RandomAccessTrace + ?Sized>(
 /// store (`scratch_grows` stalling at a constant while `chains` keeps
 /// rising is the observable form of the allocation-free steady state).
 /// [`Strategy::DiskDepthFirst`] additionally reports its disk-access
-/// accounting: `check.dfd.index_entries` (flat offset-index size),
-/// `check.dfd.cursor_reads` (positioned trace reads performed),
-/// `check.dfd.cache_hits` and `check.dfd.cache_bytes` (source-list cache
-/// effectiveness and residency). Strategies that establish a
+/// accounting: `check.dfd.index_entries` (flat offset-index size) and
+/// `check.dfd.cursor_reads` (positioned trace reads performed — two per
+/// built clause, one to push its sources and one to build it). Strategies that establish a
 /// memory-mapped trace backing ([`Strategy::DiskDepthFirst`] and
 /// [`Strategy::ParallelDag`] on binary file traces) run it inside a
 /// `trace-map` phase and emit `check.map.bytes` (accounted map length) and `check.map.mmap` (1 for the `mmap`
@@ -198,11 +181,12 @@ fn span_name(strategy: Strategy) -> &'static str {
 /// checks and want to reuse the kernel, arena and original-clause cache
 /// across jobs instead of rebuilding them per job.
 ///
-/// [`Strategy::DepthFirst`] and [`Strategy::BreadthFirst`] run against
-/// the provided [`CheckScratch`]; the other two strategies keep state of
-/// their own shape (an offset index, a dense DAG) and build it, exactly
-/// like [`check_unsat_claim_observed`] — passing a scratch is never
-/// wrong, just not always a speedup.
+/// [`Strategy::DepthFirst`], [`Strategy::BreadthFirst`] and
+/// [`Strategy::DiskDepthFirst`] run against the provided
+/// [`CheckScratch`]; [`Strategy::ParallelDag`] keeps state of its own
+/// shape (a dense DAG) and builds it, exactly like
+/// [`check_unsat_claim_observed`] — passing a scratch is never wrong,
+/// just not always a speedup.
 ///
 /// Reported stats and accounted memory are bit-identical to the
 /// unscoped entry point: reuse trades allocator work, never accounting.
@@ -226,7 +210,7 @@ pub fn check_unsat_claim_scoped<S: RandomAccessTrace + ?Sized>(
         Strategy::BreadthFirst => {
             crate::breadth_first::run_scoped(cnf, trace, config, scratch, obs)
         }
-        Strategy::DiskDepthFirst => crate::disk_df::run(cnf, trace, config, obs),
+        Strategy::DiskDepthFirst => crate::disk_df::run_scoped(cnf, trace, config, scratch, obs),
         Strategy::ParallelDag => crate::dag::run(cnf, trace, config, obs),
     };
     span.stop(obs);
@@ -265,8 +249,7 @@ pub fn check_breadth_first<S: TraceSource + ?Sized>(
 /// depth-first's on-demand traversal (needed clauses only, unsat core as
 /// a by-product) with the trace left on disk — one streaming pass builds
 /// a flat id → byte-offset index, and resolve-source lists are fetched
-/// through a trace cursor when the walk reaches them, with hot lists kept
-/// in a memory-accounted cache ([`CheckConfig::source_cache_bytes`]).
+/// through a trace cursor each time the walk needs them; none is kept.
 ///
 /// Produces bit-identical `clauses_built` / `resolutions` and the same
 /// unsat core as [`check_depth_first`], while the peak accounted memory
@@ -412,8 +395,6 @@ mod tests {
     fn config_default_is_unlimited() {
         let cfg = CheckConfig::default();
         assert_eq!(cfg.memory_limit, None);
-        assert_eq!(cfg.original_cache_bytes, None);
-        assert_eq!(cfg.source_cache_bytes, None);
         assert!(!cfg.no_mmap);
         assert!(!cfg.cancel.is_cancelled());
     }

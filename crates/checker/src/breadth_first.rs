@@ -25,9 +25,7 @@ use crate::final_phase::{derive_empty_clause, ClauseProvider};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::kernel::{KernelStats, ResolutionKernel};
 use crate::memory::{MemoryMeter, LEVEL_ZERO_RECORD_BYTES, USE_COUNT_BYTES};
-use crate::model::{
-    finish_visit, learned_capacity_hint, park_check_error, validate_learned, LevelZeroMap,
-};
+use crate::model::{finish_visit, park_check_error, validate_learned, LevelZeroMap};
 use crate::outcome::{CheckOutcome, CheckStats, Strategy};
 use crate::resolve::normalize_literals;
 use crate::scratch::{kernel_stats_since, CheckScratch};
@@ -74,7 +72,7 @@ impl Pass1Tables {
 
 /// Runs pass 1 over a streaming source, validating every record in
 /// trace order. `learned_hint` pre-sizes the per-clause tables (see
-/// [`learned_capacity_hint`]).
+/// [`learned_capacity_hint`](crate::model::learned_capacity_hint)).
 pub(crate) fn sequential_pass1<S: TraceSource + ?Sized>(
     trace: &S,
     num_original: usize,
@@ -157,7 +155,7 @@ impl<'a> BfResolveState<'a> {
         config: &CheckConfig,
         scratch: &'a mut CheckScratch,
     ) -> Self {
-        let kernel_base = scratch.start_run(config.original_cache_bytes);
+        let kernel_base = scratch.start_run();
         let (kernel, arena, originals) = scratch.parts();
         BfResolveState {
             cnf,
@@ -370,12 +368,7 @@ pub(crate) fn run_scoped<S: TraceSource + ?Sized>(
     let mut meter = MemoryMeter::new(config.memory_limit);
 
     let pass1 = Phase::start("check:pass1", obs);
-    let (tables, start_id) = sequential_pass1(
-        trace,
-        num_original,
-        learned_capacity_hint(trace, None),
-        &config.cancel,
-    )?;
+    let (tables, start_id) = sequential_pass1(trace, num_original, None, &config.cancel)?;
     // Accounting for the bookkeeping tables the strategy keeps resident.
     meter.alloc(tables.resident_bytes())?;
     pass1.finish(obs);

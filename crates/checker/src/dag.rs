@@ -47,7 +47,7 @@ use crate::outcome::{CheckOutcome, CheckStats, Strategy};
 use crate::resolve::normalize_literals;
 use rescheck_cnf::{Cnf, Lit};
 use rescheck_obs::{Event, Observer, Phase};
-use rescheck_trace::{EventRef, RandomAccessTrace, TraceMap, TraceSource};
+use rescheck_trace::{EventRef, RandomAccessTrace, TraceSource};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -459,9 +459,7 @@ pub(crate) fn run<S: RandomAccessTrace + ?Sized>(
         // independent of `--no-mmap`.
         meter.alloc(map.accounted_bytes())?;
     }
-    // A clean block index knows the exact learned-clause count; the
-    // encoded size only estimates it.
-    let learned_hint = learned_capacity_hint(trace, map.and_then(TraceMap::block_index));
+    let learned_hint = learned_capacity_hint(map);
 
     let pass1 = Phase::start("check:pass1", obs);
     let (tables, start_id) = sequential_pass1(trace, num_original, learned_hint, &config.cancel)?;
@@ -704,7 +702,7 @@ mod tests {
         let map = trace.trace_map(true).expect("binary file trace maps");
         let index = map.block_index().expect("clean trace indexes");
         assert_eq!(index.learned(), learned);
-        let hint = learned_capacity_hint(&trace, Some(index));
+        let hint = learned_capacity_hint(Some(map));
         let (tables, _) =
             sequential_pass1(&trace, num_original, hint, &CancelFlag::default()).unwrap();
         let _ = std::fs::remove_file(&path);

@@ -12,6 +12,12 @@
 //! the two hardest instances. The same behaviour is reproducible here via
 //! [`CheckConfig::memory_limit`](crate::CheckConfig::memory_limit).
 //!
+//! The walk itself ([`DfBuilder`]) is shared with the disk-backed
+//! strategy ([`crate::disk_df`]): it is generic over [`SourceLists`],
+//! the one place the two differ. Here the lists come from the resident
+//! table [`load_full`] decodes; dfd fetches them through an offset index
+//! and a trace cursor instead.
+//!
 //! Clause chains are resolved through the allocation-free
 //! [`ResolutionKernel`] and stored in the flat [`ClauseArena`] rather
 //! than as per-clause `Rc` allocations.
@@ -22,10 +28,10 @@ use crate::cache::OriginalCache;
 use crate::cancel::CancelFlag;
 use crate::error::CheckError;
 use crate::final_phase::{derive_empty_clause, ClauseProvider};
-use crate::fxhash::FxHashSet;
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::kernel::{KernelStats, ResolutionKernel};
 use crate::memory::MemoryMeter;
-use crate::model::{load_full, FullTrace};
+use crate::model::{load_full, LevelZeroMap};
 use crate::outcome::{CheckOutcome, CheckStats, Strategy, UnsatCore};
 use crate::resolve::normalize_literals;
 use crate::scratch::{kernel_stats_since, CheckScratch};
@@ -62,77 +68,24 @@ pub(crate) fn run_scoped<S: TraceSource + ?Sized>(
     obs: &mut dyn Observer,
 ) -> Result<CheckOutcome, CheckError> {
     let start = Instant::now();
-    let num_original = cnf.num_clauses();
     let mut meter = MemoryMeter::new(config.memory_limit);
 
     // The depth-first approach reads the entire trace into main memory.
     let pass1 = Phase::start("check:pass1", obs);
-    let full = load_full(trace, num_original, &config.cancel)?;
+    let mut full = load_full(trace, cnf.num_clauses(), &config.cancel)?;
     meter.alloc(full.trace_bytes)?;
     pass1.finish(obs);
 
     let start_id = *full.final_ids.first().ok_or(CheckError::NoFinalConflict)?;
-
-    let kernel_base = scratch.start_run(config.original_cache_bytes);
-    let (kernel, arena, original_cache) = scratch.parts();
-    let mut builder = DfBuilder {
-        cnf,
-        full: &full,
-        num_original,
-        arena,
-        kernel,
-        original_cache,
-        used_originals: vec![false; num_original],
-        meter,
-        cancel: config.cancel.clone(),
-        resolutions: 0,
-        clauses_built: 0,
-        obs,
-    };
-
-    // Pre-building the final conflicting clause's dependency cone is the
-    // bulk of the resolution work; the remaining level-0 antecedents are
-    // built lazily inside the final phase.
-    let resolve_phase = Phase::start("check:resolve", &mut *builder.obs);
-    builder.build(start_id)?;
-    resolve_phase.finish(&mut *builder.obs);
-
-    let final_phase = Phase::start("final-phase", &mut *builder.obs);
-    let final_stats = derive_empty_clause(start_id, &full.level_zero, &mut builder)?;
-    final_phase.finish(&mut *builder.obs);
-
-    let core_ids: Vec<usize> = builder
-        .used_originals
-        .iter()
-        .enumerate()
-        .filter(|(_, &used)| used)
-        .map(|(i, _)| i)
-        .collect();
-    let core = UnsatCore::new(core_ids, cnf);
-
-    let stats = CheckStats {
-        strategy: Strategy::DepthFirst,
-        learned_in_trace: full.sources.len() as u64,
-        clauses_built: builder.clauses_built,
-        resolutions: builder.resolutions + final_stats.resolutions,
-        peak_memory_bytes: builder.meter.peak(),
-        runtime: start.elapsed(),
-        trace_bytes: trace.encoded_size(),
-    };
-    emit_check_gauges(builder.obs, &stats, builder.arena.len() as u64);
-    // Per-job deltas, so metrics stay meaningful when the kernel came
-    // from a warm scratch with lifetime totals already on the clock.
-    emit_kernel_gauges(
-        builder.obs,
-        &kernel_stats_since(&builder.kernel.stats(), &kernel_base),
-        builder.arena.charged_bytes(),
-        builder.arena.reuse_hits(),
-    );
-
-    Ok(CheckOutcome {
-        core: Some(core),
-        stats,
-    })
+    let learned_in_trace = full.sources.len() as u64;
+    let mut builder = DfBuilder::new(cnf, &mut full.sources, meter, config, scratch, obs);
+    builder.prove(start_id, &full.level_zero)?;
+    Ok(builder.finish(
+        Strategy::DepthFirst,
+        learned_in_trace,
+        start,
+        trace.encoded_size(),
+    ))
 }
 
 /// Reports the end-of-run gauges every strategy shares.
@@ -188,16 +141,53 @@ pub(crate) fn emit_kernel_gauges(
     });
 }
 
+/// Where the walk finds a learned clause's resolve sources — the one
+/// thing depth-first and disk-backed depth-first do differently. Mirrors
+/// [`ClauseProvider::clause_into`]: the list is written into a
+/// caller-owned buffer.
+pub(crate) trait SourceLists {
+    /// Replaces `out`'s contents with the resolve sources of learned
+    /// clause `id`, in trace order. `referenced_by` is the clause whose
+    /// build asked for `id` (`None` for a root), reported when `id` is
+    /// not defined.
+    fn sources_into(
+        &mut self,
+        id: u64,
+        referenced_by: Option<u64>,
+        out: &mut Vec<u64>,
+    ) -> Result<(), CheckError>;
+}
+
+/// Depth-first's resident table: the paper's in-memory model.
+impl SourceLists for FxHashMap<u64, Vec<u64>> {
+    fn sources_into(
+        &mut self,
+        id: u64,
+        referenced_by: Option<u64>,
+        out: &mut Vec<u64>,
+    ) -> Result<(), CheckError> {
+        let sources = self
+            .get(&id)
+            .ok_or(CheckError::UnknownClause { id, referenced_by })?;
+        out.clear();
+        out.extend_from_slice(sources);
+        Ok(())
+    }
+}
+
 /// Builds learned clauses on demand with memoization (the iterative
-/// equivalent of Fig. 3's `recursive_build`).
-struct DfBuilder<'a> {
+/// equivalent of Fig. 3's `recursive_build`), reading source lists
+/// through `L`.
+pub(crate) struct DfBuilder<'a, L: SourceLists> {
     cnf: &'a Cnf,
-    full: &'a FullTrace,
+    lists: &'a mut L,
     num_original: usize,
     /// Learned clauses built so far (borrowed from the job's scratch).
     arena: &'a mut ClauseArena,
     /// Chain resolver; scratch reused across every build.
     kernel: &'a mut ResolutionKernel,
+    /// Kernel counters at job start, so gauges report this job only.
+    kernel_base: KernelStats,
     /// Normalized original clauses, cached on first use — charged to the
     /// meter like every other resident clause.
     original_cache: &'a mut OriginalCache,
@@ -209,7 +199,96 @@ struct DfBuilder<'a> {
     obs: &'a mut dyn Observer,
 }
 
-impl DfBuilder<'_> {
+impl<'a, L: SourceLists> DfBuilder<'a, L> {
+    /// Starts a run on `scratch` with the pass-1 charges already on
+    /// `meter`.
+    pub(crate) fn new(
+        cnf: &'a Cnf,
+        lists: &'a mut L,
+        meter: MemoryMeter,
+        config: &CheckConfig,
+        scratch: &'a mut CheckScratch,
+        obs: &'a mut dyn Observer,
+    ) -> Self {
+        let kernel_base = scratch.start_run();
+        let (kernel, arena, original_cache) = scratch.parts();
+        DfBuilder {
+            cnf,
+            lists,
+            num_original: cnf.num_clauses(),
+            arena,
+            kernel,
+            kernel_base,
+            original_cache,
+            used_originals: vec![false; cnf.num_clauses()],
+            meter,
+            cancel: config.cancel.clone(),
+            resolutions: 0,
+            clauses_built: 0,
+            obs,
+        }
+    }
+
+    /// Derives the empty clause from the final conflicting clause
+    /// `start_id`: the resolve phase builds its dependency cone — the
+    /// bulk of the resolution work — and the final phase builds the
+    /// remaining level-0 antecedents lazily.
+    pub(crate) fn prove(
+        &mut self,
+        start_id: u64,
+        level_zero: &LevelZeroMap,
+    ) -> Result<(), CheckError> {
+        let resolve_phase = Phase::start("check:resolve", &mut *self.obs);
+        self.build(start_id)?;
+        resolve_phase.finish(&mut *self.obs);
+
+        let final_phase = Phase::start("final-phase", &mut *self.obs);
+        let final_stats = derive_empty_clause(start_id, level_zero, self)?;
+        final_phase.finish(&mut *self.obs);
+        self.resolutions += final_stats.resolutions;
+        Ok(())
+    }
+
+    /// Collects the unsat core and the stats after [`DfBuilder::prove`],
+    /// and reports the end-of-run gauges.
+    pub(crate) fn finish(
+        self,
+        strategy: Strategy,
+        learned_in_trace: u64,
+        start: Instant,
+        trace_bytes: Option<u64>,
+    ) -> CheckOutcome {
+        let core_ids: Vec<usize> = self
+            .used_originals
+            .iter()
+            .enumerate()
+            .filter(|(_, &used)| used)
+            .map(|(i, _)| i)
+            .collect();
+        let stats = CheckStats {
+            strategy,
+            learned_in_trace,
+            clauses_built: self.clauses_built,
+            resolutions: self.resolutions,
+            peak_memory_bytes: self.meter.peak(),
+            runtime: start.elapsed(),
+            trace_bytes,
+        };
+        emit_check_gauges(self.obs, &stats, self.arena.len() as u64);
+        // Per-job deltas, so metrics stay meaningful when the kernel came
+        // from a warm scratch with lifetime totals already on the clock.
+        emit_kernel_gauges(
+            self.obs,
+            &kernel_stats_since(&self.kernel.stats(), &self.kernel_base),
+            self.arena.charged_bytes(),
+            self.arena.reuse_hits(),
+        );
+        CheckOutcome {
+            core: Some(UnsatCore::new(core_ids, self.cnf)),
+            stats,
+        }
+    }
+
     fn original(&mut self, id: u64) -> Arc<[Lit]> {
         self.used_originals[id as usize] = true;
         if let Some(c) = self.original_cache.get(id) {
@@ -263,9 +342,7 @@ impl DfBuilder<'_> {
     }
 
     /// Builds one learned clause from its already-built sources.
-    fn build_one(&mut self, id: u64) -> Result<(), CheckError> {
-        let sources = &self.full.sources[&id];
-        let chain_len = sources.len() as u64;
+    fn build_one(&mut self, id: u64, sources: &[u64]) -> Result<(), CheckError> {
         for (step, &s) in sources.iter().enumerate() {
             self.feed_source(id, step, s)?;
         }
@@ -274,17 +351,14 @@ impl DfBuilder<'_> {
         self.arena.insert(id, lits, &mut self.meter)?;
         self.obs.observe(&Event::HistRecord {
             name: "check.resolve.chain_len",
-            value: chain_len,
+            value: sources.len() as u64,
         });
         self.obs.observe(&Event::HistRecord {
             name: "check.resolve.clause_len",
             value: clause_len,
         });
         self.clauses_built += 1;
-        if self
-            .clauses_built
-            .is_multiple_of(crate::depth_first::PROGRESS_STRIDE)
-        {
+        if self.clauses_built.is_multiple_of(PROGRESS_STRIDE) {
             self.cancel.check()?;
             self.obs.observe(&Event::Progress {
                 phase: "check:resolve",
@@ -300,40 +374,36 @@ impl DfBuilder<'_> {
     ///
     /// Iterative DFS over the resolve-source DAG with explicit gray
     /// marking, so deep proofs cannot overflow the native stack and
-    /// cycles are detected rather than looping.
+    /// cycles are detected rather than looping. A node's source list is
+    /// fetched twice — once to push its children, once to build it — so
+    /// the walk holds no list longer than one step.
     fn build(&mut self, id: u64) -> Result<(), CheckError> {
         if id < self.num_original as u64 || self.arena.contains(id) {
             return Ok(());
         }
         let mut gray: FxHashSet<u64> = FxHashSet::default();
         let mut stack: Vec<(u64, Option<u64>)> = vec![(id, None)];
+        let mut sources: Vec<u64> = Vec::new();
         while let Some(&(cur, parent)) = stack.last() {
             if cur < self.num_original as u64 || self.arena.contains(cur) {
                 stack.pop();
                 continue;
             }
-            let sources = self
-                .full
-                .sources
-                .get(&cur)
-                .ok_or(CheckError::UnknownClause {
-                    id: cur,
-                    referenced_by: parent,
-                })?;
+            self.lists.sources_into(cur, parent, &mut sources)?;
             if gray.contains(&cur) {
                 // All dependencies were pushed; if one is still gray
                 // the graph has a cycle, otherwise build now.
-                for &s in sources {
+                for &s in &sources {
                     if s >= self.num_original as u64 && !self.arena.contains(s) && gray.contains(&s)
                     {
                         return Err(CheckError::CyclicProof { id: s });
                     }
                 }
-                self.build_one(cur)?;
+                self.build_one(cur, &sources)?;
                 stack.pop();
             } else {
                 gray.insert(cur);
-                for &s in sources {
+                for &s in &sources {
                     if s >= self.num_original as u64 && !self.arena.contains(s) {
                         if gray.contains(&s) {
                             return Err(CheckError::CyclicProof { id: s });
@@ -347,7 +417,7 @@ impl DfBuilder<'_> {
     }
 }
 
-impl ClauseProvider for DfBuilder<'_> {
+impl<L: SourceLists> ClauseProvider for DfBuilder<'_, L> {
     fn clause_into(&mut self, id: u64, out: &mut Vec<Lit>) -> Result<(), CheckError> {
         if id < self.num_original as u64 {
             let clause = self.original(id);
@@ -368,6 +438,16 @@ mod tests {
     use super::*;
     use rescheck_obs::NullObserver;
     use rescheck_trace::{MemorySink, TraceEvent, TraceSink};
+
+    /// Checks `sink` with both depth-first walks: df's resident table and
+    /// dfd's offset index, which must agree on every outcome.
+    fn both(cnf: &Cnf, sink: &MemorySink) -> [Result<CheckOutcome, CheckError>; 2] {
+        let config = CheckConfig::default();
+        [
+            run(cnf, sink, &config, &mut NullObserver),
+            crate::disk_df::run(cnf, sink, &config, &mut NullObserver),
+        ]
+    }
 
     /// (x1)(¬x1∨x2)(¬x2): level-0 chain, conflict on clause 2 directly.
     fn chain_trace() -> (Cnf, MemorySink) {
@@ -431,11 +511,13 @@ mod tests {
         sink.level_zero(Lit::from_dimacs(2), 1).unwrap();
         sink.final_conflict(2).unwrap();
 
-        let outcome = run(&cnf, &sink, &CheckConfig::default(), &mut NullObserver).unwrap();
-        assert_eq!(outcome.stats.clauses_built, 0);
-        assert!((outcome.stats.built_percent() - 0.0).abs() < 1e-9);
-        // The unused original clauses are not in the core.
-        assert_eq!(outcome.core.unwrap().clause_ids, vec![0, 1, 2]);
+        for outcome in both(&cnf, &sink) {
+            let outcome = outcome.unwrap();
+            assert_eq!(outcome.stats.clauses_built, 0);
+            assert!((outcome.stats.built_percent() - 0.0).abs() < 1e-9);
+            // The unused original clauses are not in the core.
+            assert_eq!(outcome.core.unwrap().clause_ids, vec![0, 1, 2]);
+        }
     }
 
     #[test]
@@ -448,8 +530,9 @@ mod tests {
             .cloned()
             .collect();
         sink = events.into();
-        let err = run(&cnf, &sink, &CheckConfig::default(), &mut NullObserver).unwrap_err();
-        assert!(matches!(err, CheckError::NoFinalConflict));
+        for outcome in both(&cnf, &sink) {
+            assert!(matches!(outcome.unwrap_err(), CheckError::NoFinalConflict));
+        }
     }
 
     #[test]
@@ -463,8 +546,15 @@ mod tests {
         events.retain(|e| !matches!(e, TraceEvent::FinalConflict { .. }));
         events.push(TraceEvent::FinalConflict { id: 10 });
         let sink: MemorySink = events.into();
-        let err = run(&cnf, &sink, &CheckConfig::default(), &mut NullObserver).unwrap_err();
-        assert!(matches!(err, CheckError::UnknownClause { id: 99, .. }));
+        for outcome in both(&cnf, &sink) {
+            assert!(matches!(
+                outcome.unwrap_err(),
+                CheckError::UnknownClause {
+                    id: 99,
+                    referenced_by: Some(10)
+                }
+            ));
+        }
     }
 
     #[test]
@@ -475,8 +565,12 @@ mod tests {
         sink.learned(1, &[2, 0]).unwrap();
         sink.learned(2, &[1, 0]).unwrap();
         sink.final_conflict(1).unwrap();
-        let err = run(&cnf, &sink, &CheckConfig::default(), &mut NullObserver).unwrap_err();
-        assert!(matches!(err, CheckError::CyclicProof { .. }));
+        for outcome in both(&cnf, &sink) {
+            assert!(matches!(
+                outcome.unwrap_err(),
+                CheckError::CyclicProof { .. }
+            ));
+        }
     }
 
     #[test]
@@ -531,23 +625,17 @@ mod tests {
         sink.learned(6, &[4, 3]).unwrap();
         sink.learned(7, &[5, 6]).unwrap();
 
-        let full = load_full(&sink, cnf.num_clauses(), &CancelFlag::default()).unwrap();
+        let mut full = load_full(&sink, cnf.num_clauses(), &CancelFlag::default()).unwrap();
         let mut scratch = CheckScratch::new();
-        let (kernel, arena, original_cache) = scratch.parts();
-        let mut builder = DfBuilder {
-            cnf: &cnf,
-            full: &full,
-            num_original: cnf.num_clauses(),
-            arena,
-            kernel,
-            original_cache,
-            used_originals: vec![false; cnf.num_clauses()],
-            meter: MemoryMeter::unlimited(),
-            cancel: CancelFlag::default(),
-            resolutions: 0,
-            clauses_built: 0,
-            obs: &mut NullObserver,
-        };
+        let mut obs = NullObserver;
+        let mut builder = DfBuilder::new(
+            &cnf,
+            &mut full.sources,
+            MemoryMeter::unlimited(),
+            &CheckConfig::default(),
+            &mut scratch,
+            &mut obs,
+        );
         builder.build(7).unwrap();
         assert_eq!(builder.clauses_built, 4); // each node built exactly once
         assert_eq!(

@@ -7,7 +7,7 @@ use crate::fxhash::FxHashMap;
 use crate::memory::{trace_record_bytes, LEVEL_ZERO_RECORD_BYTES};
 use rescheck_cnf::{Lit, Var};
 use rescheck_obs::{Event, Observer, Phase};
-use rescheck_trace::{BlockIndex, EventRef, TraceMap, TraceSource};
+use rescheck_trace::{EventRef, TraceMap, TraceSource};
 use std::io;
 
 /// Parks a `CheckError` raised inside a `TraceSource::visit_events`
@@ -33,30 +33,16 @@ pub(crate) fn finish_visit(
     result.map_err(CheckError::Trace)
 }
 
-/// Rough entry-count hint for pre-sizing id-keyed tables from the encoded
-/// trace size. Binary learned records average well above 8 bytes each, so
-/// this only mildly over-reserves; the cap keeps a short trace that lies
-/// about its size (or a future giant one) from reserving gigabytes up
-/// front.
-pub(crate) fn table_capacity_hint(encoded_bytes: u64) -> usize {
-    (encoded_bytes / 8).min(1 << 21) as usize
-}
-
-/// Entry-count hint for pre-sizing per-learned-clause tables: exact when
-/// the caller holds a clean [`BlockIndex`], otherwise estimated from the
-/// encoded size ([`table_capacity_hint`]). The estimate assumes 8
-/// encoded bytes per learned record, so it over-reserves on traces with
-/// long antecedent chains (21× on a pipe trace averaging 78 resolutions
-/// per clause) and is kept only for sources without an index. `None`
-/// for unsized sources.
-pub(crate) fn learned_capacity_hint<S: TraceSource + ?Sized>(
-    trace: &S,
-    index: Option<&BlockIndex>,
-) -> Option<usize> {
-    match index {
-        Some(index) => Some(index.learned() as usize),
-        None => trace.encoded_size().map(table_capacity_hint),
-    }
+/// Entry-count hint for pre-sizing per-learned-clause tables: the exact
+/// learned count of a mapped trace's clean [`BlockIndex`], `None`
+/// otherwise. Other sources get no estimate: sizing from the encoded
+/// bytes over-reserves 21× on long-chain traces, and the hash tables
+/// then touch nearly every page of the reservation.
+///
+/// [`BlockIndex`]: rescheck_trace::BlockIndex
+pub(crate) fn learned_capacity_hint(map: Option<&TraceMap>) -> Option<usize> {
+    map.and_then(TraceMap::block_index)
+        .map(|index| index.learned() as usize)
 }
 
 /// Establishes the trace's shared byte map (when the source supports
@@ -157,9 +143,6 @@ pub(crate) fn load_full<S: TraceSource + ?Sized>(
     cancel: &CancelFlag,
 ) -> Result<FullTrace, CheckError> {
     let mut full = FullTrace::default();
-    if let Some(encoded) = source.encoded_size() {
-        full.sources.reserve(table_capacity_hint(encoded));
-    }
     let mut seen: u64 = 0;
     let mut parked: Option<CheckError> = None;
     let result = source.visit_events(&mut |event| {

@@ -73,7 +73,7 @@ impl CheckScratch {
         CheckScratch {
             kernel: ResolutionKernel::new(),
             arena: ClauseArena::new(),
-            originals: OriginalCache::new(None),
+            originals: OriginalCache::default(),
             token: None,
             next_token: None,
         }
@@ -99,14 +99,14 @@ impl CheckScratch {
     /// strategy entry points — defensively, so a caller that forgets
     /// [`CheckScratch::begin_job`] gets a correct cold run, never stale
     /// clauses from another formula.
-    pub(crate) fn start_run(&mut self, original_cache_cap: Option<u64>) -> KernelStats {
+    pub(crate) fn start_run(&mut self) -> KernelStats {
         self.arena.reset();
         let declared = self.next_token.take();
         if declared.is_some() && declared == self.token {
             // Same formula back to back: keep normalized originals warm.
-            self.originals.begin_job(original_cache_cap);
+            self.originals.begin_job();
         } else {
-            self.originals.reset(original_cache_cap);
+            self.originals.reset();
         }
         self.token = declared;
         self.kernel.stats()
@@ -206,7 +206,11 @@ mod tests {
     fn warm_and_cold_jobs_account_identical_peaks() {
         let (cnf, sink) = fixture();
         let config = CheckConfig::default();
-        for strategy in [Strategy::DepthFirst, Strategy::BreadthFirst] {
+        for strategy in [
+            Strategy::DepthFirst,
+            Strategy::BreadthFirst,
+            Strategy::DiskDepthFirst,
+        ] {
             let mut scratch = CheckScratch::new();
             scratch.begin_job(42);
             let cold = check_unsat_claim_scoped(
@@ -247,7 +251,11 @@ mod tests {
     fn scoped_runs_match_one_shot_runs() {
         let (cnf, sink) = fixture();
         let config = CheckConfig::default();
-        for strategy in [Strategy::DepthFirst, Strategy::BreadthFirst] {
+        for strategy in [
+            Strategy::DepthFirst,
+            Strategy::BreadthFirst,
+            Strategy::DiskDepthFirst,
+        ] {
             let one_shot = crate::api::check_unsat_claim(&cnf, &sink, strategy, &config).unwrap();
             let mut scratch = CheckScratch::new();
             scratch.begin_job(7);

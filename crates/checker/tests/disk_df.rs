@@ -64,15 +64,10 @@ fn completes_under_a_limit_that_memory_outs_depth_first() {
     let (cnf, sink) = chain(512);
     let trace = write_binary(&sink, "chain512");
 
-    // Establish both unlimited peaks. The source cache is disabled so the
-    // disk-backed peak is exactly its mandatory structures (index + arena
-    // + level-0 + originals) and the midpoint limit below is meaningful.
-    let no_cache = CheckConfig {
-        source_cache_bytes: Some(0),
-        ..CheckConfig::default()
-    };
+    // Establish both unlimited peaks: the disk-backed one is exactly its
+    // mandatory structures (map + index + arena + level-0 + originals).
     let df = check_depth_first(&cnf, &trace, &CheckConfig::default()).unwrap();
-    let dfd = check_disk_depth_first(&cnf, &trace, &no_cache).unwrap();
+    let dfd = check_disk_depth_first(&cnf, &trace, &CheckConfig::default()).unwrap();
     assert_same_proof(&dfd, &df);
     assert!(
         dfd.stats.peak_memory_bytes < df.stats.peak_memory_bytes,
@@ -86,7 +81,6 @@ fn completes_under_a_limit_that_memory_outs_depth_first() {
     let limit = (dfd.stats.peak_memory_bytes + df.stats.peak_memory_bytes) / 2;
     let limited = CheckConfig {
         memory_limit: Some(limit),
-        source_cache_bytes: Some(0),
         ..CheckConfig::default()
     };
     let df_err = check_depth_first(&cnf, &trace, &limited).unwrap_err();
@@ -97,21 +91,6 @@ fn completes_under_a_limit_that_memory_outs_depth_first() {
     let dfd_limited = check_disk_depth_first(&cnf, &trace, &limited).unwrap();
     assert_same_proof(&dfd_limited, &df);
     assert!(dfd_limited.stats.peak_memory_bytes <= limit);
-}
-
-#[test]
-fn source_cache_does_not_change_the_proof() {
-    let (cnf, sink) = chain(128);
-    let trace = write_binary(&sink, "chain128");
-    let df = check_depth_first(&cnf, &trace, &CheckConfig::default()).unwrap();
-    for cache_bytes in [Some(0), Some(1 << 10), None] {
-        let config = CheckConfig {
-            source_cache_bytes: cache_bytes,
-            ..CheckConfig::default()
-        };
-        let dfd = check_disk_depth_first(&cnf, &trace, &config).unwrap();
-        assert_same_proof(&dfd, &df);
-    }
 }
 
 #[test]

@@ -78,7 +78,8 @@ USAGE:
                  unsat core; bf rebuilds every learned clause in trace
                  order, freeing each after its last use; dfd is df with
                  the trace left on disk — same verdict, core and
-                 resolution stats, with only an offset index resident;
+                 resolution stats, with only an offset index resident
+                 (plus the mapped bytes of a binary trace file);
                  pdag is bf's verification set rebuilt from a dense
                  dependency DAG, walked in trace order on one thread.
                  Accepted for one release and then removed: the names
