@@ -3,11 +3,60 @@
 //! restarts on/off — paper §2.1 argues all combinations stay correct).
 //! Uses the in-house harness in `rescheck_bench::micro` (no criterion;
 //! the workspace builds offline).
+//!
+//! The first rows are Table 1's untraced solves on the instances the
+//! end-to-end benchmark solves (longmult 6, pipe 16 5, pigeonhole 7).
+//! With `--json <path>` they are written as a `rescheck-metrics-v2`
+//! document, one row per instance: median / min / max seconds, the
+//! repeat count, `available_parallelism`, and the search's work counters
+//! (conflicts, learned clauses, watch-list and clause visits), which
+//! pin the search the timing belongs to. The CI bench-smoke job checks
+//! the shape, never the timing.
 
 use rescheck_bench::micro::bench;
+use rescheck_bench::report::{take_json_flag, write_json, SCHEMA};
+use rescheck_obs::Json;
 use rescheck_solver::dp::{dp_solve, DpResult};
 use rescheck_solver::{Solver, SolverConfig};
 use rescheck_workloads::{bmc, equiv, pigeonhole, pipeline};
+use std::path::Path;
+
+fn available_parallelism() -> u64 {
+    std::thread::available_parallelism()
+        .map(|n| n.get() as u64)
+        .unwrap_or(1)
+}
+
+/// Table 1's untraced solves, one JSON row per instance.
+fn bench_table1_solves() -> Vec<Json> {
+    let mut rows = Vec::new();
+    for inst in [
+        bmc::longmult(6),
+        pipeline::pipe(16, 5),
+        pigeonhole::instance(7),
+    ] {
+        let mut solver = Solver::from_cnf(&inst.cnf, SolverConfig::default());
+        assert!(solver.solve().is_unsat());
+        let stats = *solver.stats();
+        let summary = bench(&format!("solve-table1/{}", inst.name), || {
+            let mut solver = Solver::from_cnf(&inst.cnf, SolverConfig::default());
+            assert!(solver.solve().is_unsat());
+        });
+        let mut row = Json::object();
+        row.set("name", inst.name.as_str())
+            .set("repeats", u64::from(summary.iters))
+            .set("median_seconds", summary.median.as_secs_f64())
+            .set("min_seconds", summary.min.as_secs_f64())
+            .set("max_seconds", summary.max.as_secs_f64())
+            .set("available_parallelism", available_parallelism())
+            .set("conflicts", stats.conflicts)
+            .set("learned_clauses", stats.learned_clauses)
+            .set("watch_visits", stats.watch_visits)
+            .set("clause_visits", stats.clause_visits);
+        rows.push(row);
+    }
+    rows
+}
 
 fn bench_families() {
     for inst in [
@@ -83,6 +132,18 @@ fn bench_dp_vs_cdcl() {
 }
 
 fn main() {
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let json_path = take_json_flag(&mut args);
+    let rows = bench_table1_solves();
+    if let Some(path) = json_path {
+        let mut doc = Json::object();
+        doc.set("schema", SCHEMA)
+            .set("command", "bench:solver")
+            .set("available_parallelism", available_parallelism())
+            .set("rows", Json::Array(rows));
+        write_json(Path::new(&path), &doc).expect("write json");
+        println!("wrote {path}");
+    }
     bench_families();
     bench_ablations();
     bench_bcp_heavy();

@@ -3,7 +3,7 @@
 //! The workspace builds offline, so the `criterion` dependency is gone;
 //! the `cargo bench` targets use this instead. It calibrates an
 //! iteration count to a small wall-clock budget, reports min / median /
-//! mean, and makes no statistical claims beyond that — good enough to
+//! mean / max, and makes no statistical claims beyond that — good enough to
 //! compare the ablations DESIGN.md cares about (ASCII vs binary, DF vs
 //! BF, learning on/off) on one machine.
 
@@ -29,6 +29,8 @@ pub struct Summary {
     pub median: Duration,
     /// Mean iteration.
     pub mean: Duration,
+    /// Slowest iteration.
+    pub max: Duration,
 }
 
 /// Runs `f` repeatedly within the time budget and prints a summary line
@@ -51,6 +53,7 @@ pub fn bench(name: &str, mut f: impl FnMut()) -> Summary {
     }
     samples.sort_unstable();
     let min = samples[0];
+    let max = samples[samples.len() - 1];
     let median = samples[samples.len() / 2];
     let total: Duration = samples.iter().sum();
     let mean = total / iters;
@@ -59,6 +62,7 @@ pub fn bench(name: &str, mut f: impl FnMut()) -> Summary {
         min,
         median,
         mean,
+        max,
     };
     println!(
         "{name}: median {}s  min {}s  mean {}s  ({iters} iters)",
@@ -80,5 +84,6 @@ mod tests {
         let s = bench("noop", || n = n.wrapping_add(1));
         assert!(s.iters >= 5);
         assert!(s.min <= s.median && s.median <= s.mean * 2);
+        assert!(s.median <= s.max);
     }
 }

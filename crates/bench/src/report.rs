@@ -8,7 +8,7 @@
 //! {
 //!   "schema": "rescheck-metrics-v2",
 //!   "command": "check",
-//!   "phases": {"parse": 0.01, "solve": 1.2, ...},
+//!   "phases": {"parse": 0.01, "solve:search": 1.2, ...},
 //!   "counters": {"solver.conflicts": 1234, ...},
 //!   "gauges": {"check.peak_memory_bytes": 65536.0, ...},
 //!   "histograms": {"check.resolve.chain_len": {"count": …, "buckets": […]}, ...},
@@ -72,7 +72,9 @@ pub fn solver_stats_json(stats: &SolverStats) -> Json {
         .set("restarts", stats.restarts)
         .set("db_reductions", stats.db_reductions)
         .set("reused_conflicts", stats.reused_conflicts)
-        .set("minimized_literals", stats.minimized_literals);
+        .set("minimized_literals", stats.minimized_literals)
+        .set("watch_visits", stats.watch_visits)
+        .set("clause_visits", stats.clause_visits);
     json
 }
 
@@ -107,6 +109,8 @@ pub fn flush_solver_stats(registry: &mut Registry, stats: &SolverStats) {
     registry.inc("solver.db_reductions", stats.db_reductions);
     registry.inc("solver.reused_conflicts", stats.reused_conflicts);
     registry.inc("solver.minimized_literals", stats.minimized_literals);
+    registry.inc("solver.watch_visits", stats.watch_visits);
+    registry.inc("solver.clause_visits", stats.clause_visits);
 }
 
 /// Trace-level proof statistics ([`ProofStats`]) as a JSON object.
@@ -241,6 +245,8 @@ mod tests {
             "learned_clauses",
             "reused_conflicts",
             "minimized_literals",
+            "watch_visits",
+            "clause_visits",
         ] {
             assert!(json.get(key).is_some(), "missing {key}");
         }
@@ -252,11 +258,15 @@ mod tests {
         let stats = SolverStats {
             decisions: 9,
             conflicts: 7,
+            watch_visits: 40,
+            clause_visits: 12,
             ..SolverStats::default()
         };
         flush_solver_stats(&mut reg, &stats);
         assert_eq!(reg.counter("solver.decisions"), Some(9));
         assert_eq!(reg.counter("solver.conflicts"), Some(7));
+        assert_eq!(reg.counter("solver.watch_visits"), Some(40));
+        assert_eq!(reg.counter("solver.clause_visits"), Some(12));
         assert_eq!(reg.counter("solver.restarts"), Some(0));
     }
 

@@ -67,6 +67,10 @@ impl ClauseArena {
     ///
     /// Freed extents are reused best-fit before the tail grows; a longer
     /// extent is split and its remainder returned to the free list.
+    ///
+    /// Pages and slot are charged in one step before anything changes, so
+    /// a memory-out leaves the arena untouched and the caller may free
+    /// budget and retry.
     pub(crate) fn insert(
         &mut self,
         id: u64,
@@ -75,6 +79,14 @@ impl ClauseArena {
     ) -> Result<(), CheckError> {
         debug_assert!(!self.slots.contains_key(&id), "duplicate arena id {id}");
         let len = clause.len() as u32;
+        let reuse = len > 0 && self.free.range(len..).next().is_some();
+        let pages = if reuse {
+            self.charged_pages
+        } else {
+            page_bytes(self.lits.len() + clause.len()).max(self.charged_pages)
+        };
+        meter.alloc(pages - self.charged_pages + ARENA_SLOT_BYTES)?;
+        self.charged_pages = pages;
         let offset = match self.take_free(len) {
             Some(offset) => {
                 self.reuse_hits += 1;
@@ -84,16 +96,10 @@ impl ClauseArena {
             }
             None => {
                 let offset = self.lits.len() as u32;
-                let needed = page_bytes(self.lits.len() + clause.len());
-                if needed > self.charged_pages {
-                    meter.alloc(needed - self.charged_pages)?;
-                    self.charged_pages = needed;
-                }
                 self.lits.extend_from_slice(clause);
                 offset
             }
         };
-        meter.alloc(ARENA_SLOT_BYTES)?;
         self.slots.insert(id, Slot { offset, len });
         Ok(())
     }

@@ -279,7 +279,9 @@ impl<'a> BfResolveState<'a> {
         if remaining > 0 || self.tables.pinned.contains(&id) {
             let lits = self.kernel.finish();
             let clause_len = lits.len() as u64;
-            self.arena.insert(id, lits, &mut self.meter)?;
+            let arena = &mut *self.arena;
+            self.originals
+                .make_room(&mut self.meter, |meter| arena.insert(id, lits, meter))?;
             obs.observe(&Event::HistRecord {
                 name: "check.resolve.clause_len",
                 value: clause_len,

@@ -15,8 +15,10 @@
 //! The cache treats the meter's budget as *spare* capacity: if charging a
 //! clause would exceed the memory limit, entries are evicted to make
 //! room, and if that is not enough the clause is simply not cached. A
-//! cache can therefore never cause a [`MemoryLimitExceeded`] failure —
-//! it only ever trades budget headroom for speed.
+//! mandatory charge (an arena page or slot) goes through
+//! [`make_room`], which evicts cached clauses before it lets the charge
+//! fail. A cache can therefore never cause a [`MemoryLimitExceeded`]
+//! failure — it only ever trades budget headroom for speed.
 //!
 //! # The warm tier
 //!
@@ -34,11 +36,13 @@
 //! formula.
 //!
 //! [`MemoryLimitExceeded`]: crate::CheckError::MemoryLimitExceeded
+//! [`make_room`]: OriginalCache::make_room
 //! [`begin_job`]: OriginalCache::begin_job
 //! [`take_warm`]: OriginalCache::take_warm
 
 use crate::fxhash::FxHashMap;
 use crate::memory::{clause_bytes, MemoryMeter};
+use crate::CheckError;
 use rescheck_cnf::Lit;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -79,6 +83,23 @@ impl OriginalCache {
         self.bytes += cost;
         self.order.push_back(id);
         self.map.insert(id, Arc::clone(clause));
+    }
+
+    /// Runs a mandatory charge, evicting cached clauses oldest first
+    /// while it meets the budget. `charge` must leave the meter and its
+    /// own state unchanged when it fails, since it is retried; its
+    /// memory-out is returned only once the cache is empty.
+    pub(crate) fn make_room(
+        &mut self,
+        meter: &mut MemoryMeter,
+        mut charge: impl FnMut(&mut MemoryMeter) -> Result<(), CheckError>,
+    ) -> Result<(), CheckError> {
+        loop {
+            match charge(meter) {
+                Err(CheckError::MemoryLimitExceeded { .. }) if self.evict_one(meter) => {}
+                result => return result,
+            }
+        }
     }
 
     /// Evicts the oldest entry, refunding its bytes. Returns `false` when
@@ -184,6 +205,26 @@ mod tests {
         cache.insert(2, &clause(&[1, 2, 3, 4, 5, 6, 7, 8]), &mut meter);
         assert!(cache.get(2).is_none());
         assert!(meter.current() <= clause_bytes(1));
+    }
+
+    #[test]
+    fn mandatory_charges_evict_before_failing() {
+        // Budget: two cached one-literal clauses, nothing spare.
+        let mut meter = MemoryMeter::with_limit(2 * clause_bytes(1));
+        let mut cache = OriginalCache::default();
+        cache.insert(0, &clause(&[1]), &mut meter);
+        cache.insert(1, &clause(&[2]), &mut meter);
+        assert_eq!(cache.len(), 2);
+        // A mandatory charge of one entry's size evicts the oldest only.
+        let cost = clause_bytes(1);
+        cache.make_room(&mut meter, |m| m.alloc(cost)).unwrap();
+        assert!(cache.get(0).is_none() && cache.get(1).is_some());
+        assert_eq!(meter.current(), 2 * clause_bytes(1));
+        // A charge beyond the whole budget empties the cache, then fails.
+        let err = cache.make_room(&mut meter, |m| m.alloc(cost + 1));
+        assert!(matches!(err, Err(CheckError::MemoryLimitExceeded { .. })));
+        assert_eq!(cache.len(), 0);
+        assert_eq!(meter.current(), clause_bytes(1));
     }
 
     #[test]

@@ -348,7 +348,9 @@ impl<'a, L: SourceLists> DfBuilder<'a, L> {
         }
         let lits = self.kernel.finish();
         let clause_len = lits.len() as u64;
-        self.arena.insert(id, lits, &mut self.meter)?;
+        let arena = &mut *self.arena;
+        self.original_cache
+            .make_room(&mut self.meter, |meter| arena.insert(id, lits, meter))?;
         self.obs.observe(&Event::HistRecord {
             name: "check.resolve.chain_len",
             value: sources.len() as u64,

@@ -31,7 +31,8 @@
 //! The map's encoded bytes are charged to the meter up front (the same
 //! under `mmap` and the buffered fallback), which is still far below
 //! the decoded residency the in-memory strategies account. ASCII traces
-//! are not mapped: each fetch is a seek plus a buffered line read.
+//! are not mapped: each fetch is a buffered line read, which seeks and
+//! refills the buffer only when the record is not already in it.
 
 use crate::api::CheckConfig;
 use crate::depth_first::{DfBuilder, SourceLists};

@@ -56,12 +56,9 @@ impl fmt::Display for ClauseId {
     }
 }
 
-#[derive(Clone, Debug)]
-struct ClauseRec {
-    lits: Vec<Lit>,
-    learned: bool,
-    activity: f64,
-}
+/// Span length marking a tombstone (no clause can be this long: the
+/// arena offsets are 32-bit too).
+const DEAD: u32 = u32::MAX;
 
 /// The solver's clause store.
 ///
@@ -69,6 +66,13 @@ struct ClauseRec {
 /// clause positions); learned clauses are appended during search. Learned
 /// clauses can be removed, leaving a tombstone so later IDs stay valid —
 /// the watch lists clean dangling references lazily.
+///
+/// Every clause's literals live in one flat arena, in ID order; a dense
+/// per-ID `(offset, len)` table locates them and a per-ID vector holds
+/// activities. A clause is thus one table load plus one contiguous slice
+/// away, with no per-clause allocation. When the literals of removed
+/// clauses outnumber the live ones, the arena is compacted: offsets
+/// move, IDs (which are trace IDs) never do.
 ///
 /// # Examples
 ///
@@ -84,10 +88,19 @@ struct ClauseRec {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct ClauseDb {
-    slots: Vec<Option<ClauseRec>>,
+    /// Literals of every clause, in ID order (tombstones leave gaps until
+    /// the next compaction).
+    arena: Vec<Lit>,
+    /// Per ID: `(offset into arena, length)`, length [`DEAD`] for a
+    /// tombstone.
+    spans: Vec<(u32, u32)>,
+    /// Per ID: clause activity (0.0 for originals).
+    activity: Vec<f64>,
     num_original: usize,
     live_learned: usize,
     deleted_learned: u64,
+    /// Literals of live clauses (the rest of `arena` is dead).
+    live_lits: usize,
     cla_inc: f64,
 }
 
@@ -95,11 +108,8 @@ impl ClauseDb {
     /// Creates an empty database.
     pub fn new() -> Self {
         ClauseDb {
-            slots: Vec::new(),
-            num_original: 0,
-            live_learned: 0,
-            deleted_learned: 0,
             cla_inc: 1.0,
+            ..ClauseDb::default()
         }
     }
 
@@ -120,7 +130,7 @@ impl ClauseDb {
 
     /// Total number of IDs ever allocated.
     pub fn num_ids(&self) -> usize {
-        self.slots.len()
+        self.spans.len()
     }
 
     /// Adds an original clause.
@@ -135,60 +145,66 @@ impl ClauseDb {
     pub fn add_original(&mut self, clause: Clause) -> ClauseId {
         assert_eq!(
             self.num_original,
-            self.slots.len(),
+            self.spans.len(),
             "original clauses must be added before learned clauses"
         );
         let mut lits = clause.into_literals();
         dedup_preserving_order(&mut lits);
-        let id = ClauseId::new(self.slots.len());
-        self.slots.push(Some(ClauseRec {
-            lits,
-            learned: false,
-            activity: 0.0,
-        }));
         self.num_original += 1;
-        id
+        self.push(&lits, 0.0)
     }
 
     /// Adds a learned clause and returns its ID.
-    pub fn add_learned(&mut self, lits: Vec<Lit>) -> ClauseId {
-        let id = ClauseId::new(self.slots.len());
-        self.slots.push(Some(ClauseRec {
-            lits,
-            learned: true,
-            activity: self.cla_inc,
-        }));
+    pub fn add_learned(&mut self, lits: &[Lit]) -> ClauseId {
         self.live_learned += 1;
+        self.push(lits, self.cla_inc)
+    }
+
+    fn push(&mut self, lits: &[Lit], activity: f64) -> ClauseId {
+        let id = ClauseId::new(self.spans.len());
+        let offset = u32::try_from(self.arena.len()).expect("clause arena exceeds 2^32 literals");
+        let len = u32::try_from(lits.len()).expect("clause length fits in 32 bits");
+        assert!(len != DEAD, "clause length fits in 32 bits");
+        self.arena.extend_from_slice(lits);
+        self.spans.push((offset, len));
+        self.activity.push(activity);
+        self.live_lits += lits.len();
         id
     }
 
+    /// The arena range of a live clause.
+    #[inline]
+    fn range(&self, id: ClauseId) -> Option<std::ops::Range<usize>> {
+        match self.spans.get(id.index()) {
+            Some(&(offset, len)) if len != DEAD => {
+                Some(offset as usize..offset as usize + len as usize)
+            }
+            _ => None,
+        }
+    }
+
     /// The literals of a live clause, or `None` for tombstones/bad IDs.
+    #[inline]
     pub fn literals(&self, id: ClauseId) -> Option<&[Lit]> {
-        self.slots
-            .get(id.index())
-            .and_then(|s| s.as_ref())
-            .map(|r| r.lits.as_slice())
+        let range = self.range(id)?;
+        Some(&self.arena[range])
     }
 
     /// Mutable literals of a live clause (the solver reorders watches).
-    pub fn literals_mut(&mut self, id: ClauseId) -> Option<&mut Vec<Lit>> {
-        self.slots
-            .get_mut(id.index())
-            .and_then(|s| s.as_mut())
-            .map(|r| &mut r.lits)
+    #[inline]
+    pub fn literals_mut(&mut self, id: ClauseId) -> Option<&mut [Lit]> {
+        let range = self.range(id)?;
+        Some(&mut self.arena[range])
     }
 
     /// Returns `true` if the ID refers to a live clause.
     pub fn is_live(&self, id: ClauseId) -> bool {
-        self.slots.get(id.index()).is_some_and(|s| s.is_some())
+        self.range(id).is_some()
     }
 
     /// Returns `true` if the clause is learned (live learned clauses only).
     pub fn is_learned(&self, id: ClauseId) -> bool {
-        self.slots
-            .get(id.index())
-            .and_then(|s| s.as_ref())
-            .is_some_and(|r| r.learned)
+        id.index() >= self.num_original && self.is_live(id)
     }
 
     /// Removes a learned clause, leaving a tombstone.
@@ -197,34 +213,61 @@ impl ClauseDb {
     ///
     /// Panics if the clause is original or already removed.
     pub fn remove_learned(&mut self, id: ClauseId) {
-        let slot = self.slots.get_mut(id.index()).expect("clause id in range");
-        let rec = slot.as_ref().expect("clause is live");
-        assert!(rec.learned, "original clauses are never removed");
-        *slot = None;
+        let span = self.spans.get_mut(id.index()).expect("clause id in range");
+        assert!(span.1 != DEAD, "clause is live");
+        assert!(
+            id.index() >= self.num_original,
+            "original clauses are never removed"
+        );
+        self.live_lits -= span.1 as usize;
+        span.1 = DEAD;
         self.live_learned -= 1;
         self.deleted_learned += 1;
+        if self.arena.len() - self.live_lits > self.live_lits {
+            self.compact();
+        }
+    }
+
+    /// Slides every live clause down over the gaps tombstones left. IDs
+    /// are in arena order, so one forward pass moves each clause at most
+    /// once and never over a live literal.
+    fn compact(&mut self) {
+        let mut end = 0usize;
+        for span in &mut self.spans {
+            if span.1 == DEAD {
+                continue;
+            }
+            let (offset, len) = (span.0 as usize, span.1 as usize);
+            self.arena.copy_within(offset..offset + len, end);
+            span.0 = end as u32;
+            end += len;
+        }
+        debug_assert_eq!(end, self.live_lits);
+        self.arena.truncate(end);
     }
 
     /// Current activity of a clause (0.0 for originals and tombstones).
     pub fn activity(&self, id: ClauseId) -> f64 {
-        self.slots
-            .get(id.index())
-            .and_then(|s| s.as_ref())
-            .map_or(0.0, |r| r.activity)
+        if self.is_live(id) {
+            self.activity[id.index()]
+        } else {
+            0.0
+        }
     }
 
     /// Bumps a learned clause's activity, rescaling all activities when
     /// they grow too large.
     pub fn bump_activity(&mut self, id: ClauseId) {
-        let inc = self.cla_inc;
-        if let Some(rec) = self.slots.get_mut(id.index()).and_then(|s| s.as_mut()) {
-            rec.activity += inc;
-            if rec.activity > 1e100 {
-                for slot in self.slots.iter_mut().flatten() {
-                    slot.activity *= 1e-100;
-                }
-                self.cla_inc *= 1e-100;
+        if !self.is_live(id) {
+            return;
+        }
+        let activity = &mut self.activity[id.index()];
+        *activity += self.cla_inc;
+        if *activity > 1e100 {
+            for a in &mut self.activity {
+                *a *= 1e-100;
             }
+            self.cla_inc *= 1e-100;
         }
     }
 
@@ -235,20 +278,17 @@ impl ClauseDb {
 
     /// Iterates over live learned clause IDs.
     pub fn learned_ids(&self) -> impl Iterator<Item = ClauseId> + '_ {
-        self.slots
+        self.spans
             .iter()
             .enumerate()
             .skip(self.num_original)
-            .filter_map(|(i, s)| s.as_ref().filter(|r| r.learned).map(|_| ClauseId::new(i)))
+            .filter(|(_, span)| span.1 != DEAD)
+            .map(|(i, _)| ClauseId::new(i))
     }
 
     /// Accounted memory of live clauses in bytes (literals only).
     pub fn live_bytes(&self) -> u64 {
-        self.slots
-            .iter()
-            .flatten()
-            .map(|r| (r.lits.len() * std::mem::size_of::<Lit>()) as u64)
-            .sum()
+        (self.live_lits * std::mem::size_of::<Lit>()) as u64
     }
 }
 
@@ -289,7 +329,7 @@ mod tests {
     fn learned_ids_continue_after_original() {
         let mut db = ClauseDb::new();
         db.add_original(Clause::from_dimacs(&[1]));
-        let l = db.add_learned(lits(&[2, 3]));
+        let l = db.add_learned(&lits(&[2, 3]));
         assert_eq!(l.index(), 1);
         assert!(db.is_learned(l));
         assert_eq!(db.num_live_learned(), 1);
@@ -300,7 +340,7 @@ mod tests {
     #[should_panic(expected = "before learned")]
     fn original_after_learned_is_rejected() {
         let mut db = ClauseDb::new();
-        db.add_learned(lits(&[1]));
+        db.add_learned(&lits(&[1]));
         db.add_original(Clause::from_dimacs(&[2]));
     }
 
@@ -308,8 +348,8 @@ mod tests {
     fn remove_leaves_tombstone() {
         let mut db = ClauseDb::new();
         db.add_original(Clause::from_dimacs(&[1]));
-        let l1 = db.add_learned(lits(&[2]));
-        let l2 = db.add_learned(lits(&[3]));
+        let l1 = db.add_learned(&lits(&[2]));
+        let l2 = db.add_learned(&lits(&[3]));
         db.remove_learned(l1);
         assert!(!db.is_live(l1));
         assert!(db.is_live(l2));
@@ -317,7 +357,7 @@ mod tests {
         assert_eq!(db.num_live_learned(), 1);
         assert_eq!(db.num_deleted_learned(), 1);
         // IDs are not reused.
-        let l3 = db.add_learned(lits(&[4]));
+        let l3 = db.add_learned(&lits(&[4]));
         assert_eq!(l3.index(), 3);
     }
 
@@ -332,8 +372,8 @@ mod tests {
     #[test]
     fn activity_bump_and_decay() {
         let mut db = ClauseDb::new();
-        let a = db.add_learned(lits(&[1]));
-        let b = db.add_learned(lits(&[2]));
+        let a = db.add_learned(&lits(&[1]));
+        let b = db.add_learned(&lits(&[2]));
         db.bump_activity(a);
         assert!(db.activity(a) > db.activity(b));
         db.decay_activity(0.5);
@@ -345,8 +385,8 @@ mod tests {
     #[test]
     fn activity_rescale_preserves_order() {
         let mut db = ClauseDb::new();
-        let a = db.add_learned(lits(&[1]));
-        let b = db.add_learned(lits(&[2]));
+        let a = db.add_learned(&lits(&[1]));
+        let b = db.add_learned(&lits(&[2]));
         for _ in 0..400 {
             db.decay_activity(0.5); // inc doubles each time → overflows 1e100
             db.bump_activity(a);
@@ -360,11 +400,62 @@ mod tests {
     fn live_bytes_tracks_literals() {
         let mut db = ClauseDb::new();
         db.add_original(Clause::from_dimacs(&[1, 2]));
-        let l = db.add_learned(lits(&[3, 4, 5]));
+        let l = db.add_learned(&lits(&[3, 4, 5]));
         let per_lit = std::mem::size_of::<Lit>() as u64;
         assert_eq!(db.live_bytes(), 5 * per_lit);
         db.remove_learned(l);
         assert_eq!(db.live_bytes(), 2 * per_lit);
+    }
+
+    #[test]
+    fn compaction_keeps_ids_and_literals() {
+        let mut db = ClauseDb::new();
+        db.add_original(Clause::from_dimacs(&[1, 2]));
+        let learned: Vec<ClauseId> = (0..8)
+            .map(|i| db.add_learned(&lits(&[i + 3, -(i + 4), i + 5])))
+            .collect();
+        db.bump_activity(learned[7]);
+        let arena_before = db.arena.len();
+        // The fifth removal leaves 11 live literals against 15 dead and
+        // compacts; the sixth leaves 3 dead behind.
+        for &id in &learned[..6] {
+            db.remove_learned(id);
+        }
+        assert!(db.arena.len() < arena_before);
+        assert_eq!(db.arena.len(), 2 + 3 * 3);
+        assert_eq!(db.live_bytes(), 8 * std::mem::size_of::<Lit>() as u64);
+        assert_eq!(
+            db.literals(ClauseId::new(0)).unwrap(),
+            lits(&[1, 2]).as_slice()
+        );
+        for (i, &id) in learned.iter().enumerate() {
+            let i = i as i64;
+            if i < 6 {
+                assert!(db.literals(id).is_none());
+            } else {
+                assert_eq!(
+                    db.literals(id).unwrap(),
+                    lits(&[i + 3, -(i + 4), i + 5]).as_slice()
+                );
+            }
+        }
+        assert!(db.activity(learned[7]) > db.activity(learned[6]));
+        assert_eq!(db.learned_ids().collect::<Vec<_>>(), learned[6..].to_vec());
+        // New clauses append after the compacted live ones.
+        let next = db.add_learned(&lits(&[9]));
+        assert_eq!(next.index(), 9);
+        assert_eq!(db.literals(next).unwrap(), lits(&[9]).as_slice());
+    }
+
+    #[test]
+    fn literals_mut_reorders_in_place() {
+        let mut db = ClauseDb::new();
+        let id = db.add_original(Clause::from_dimacs(&[1, 2, 3]));
+        db.literals_mut(id).unwrap().swap(0, 2);
+        assert_eq!(db.literals(id).unwrap(), lits(&[3, 2, 1]).as_slice());
+        let empty = db.add_original(Clause::empty());
+        assert_eq!(db.literals(empty).unwrap(), &[] as &[Lit]);
+        assert!(db.literals_mut(ClauseId::new(5)).is_none());
     }
 
     #[test]

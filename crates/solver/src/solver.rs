@@ -47,7 +47,10 @@ pub struct Solver {
     num_vars: usize,
 
     watches: Vec<Vec<Watcher>>,
-    assigns: Vec<LBool>,
+    /// Value of every literal, indexed by [`Lit::code`]: a variable's two
+    /// literals are both `Undef` or hold opposite values, so a literal
+    /// test is one load with no sign branch.
+    values: Vec<LBool>,
     level: Vec<u32>,
     reason: Vec<Option<ClauseId>>,
     trail: Vec<Lit>,
@@ -59,6 +62,15 @@ pub struct Solver {
     order: VarOrderHeap,
     phase: Vec<bool>,
     seen: Vec<bool>,
+    /// Buffers conflict analysis reuses so a conflict allocates nothing:
+    /// the learned clause and its resolve sources (read by
+    /// `handle_conflict`), the level-0 unit sources, the variables whose
+    /// `seen` mark must be cleared, and minimization's removed variables.
+    learnt: Vec<Lit>,
+    sources: Vec<u64>,
+    zero_sources: Vec<u64>,
+    to_clear: Vec<Var>,
+    removed: Vec<Var>,
 
     stats: SolverStats,
     rng: u64,
@@ -95,7 +107,7 @@ impl Solver {
             db: ClauseDb::new(),
             num_vars: 0,
             watches: Vec::new(),
-            assigns: Vec::new(),
+            values: Vec::new(),
             level: Vec::new(),
             reason: Vec::new(),
             trail: Vec::new(),
@@ -106,6 +118,11 @@ impl Solver {
             order: VarOrderHeap::new(),
             phase: Vec::new(),
             seen: Vec::new(),
+            learnt: Vec::new(),
+            sources: Vec::new(),
+            zero_sources: Vec::new(),
+            to_clear: Vec::new(),
+            removed: Vec::new(),
             stats: SolverStats::default(),
             rng: seed,
             started: false,
@@ -298,7 +315,7 @@ impl Solver {
         self.initialized = true;
         let n = self.num_vars;
         self.watches = vec![Vec::new(); 2 * n];
-        self.assigns = vec![LBool::Undef; n];
+        self.values = vec![LBool::Undef; 2 * n];
         self.level = vec![0; n];
         self.reason = vec![None; n];
         self.phase = vec![self.cfg.default_phase; n];
@@ -340,7 +357,7 @@ impl Solver {
         let units = std::mem::take(&mut self.pending_units);
         for id in units {
             let lit = self.db.literals(id).expect("live")[0];
-            match value_of(&self.assigns, lit) {
+            match self.values[lit.code()] {
                 LBool::Undef => self.enqueue(lit, Some(id)),
                 LBool::True => {}
                 LBool::False => {
@@ -363,13 +380,17 @@ impl Solver {
 
     /// The value a literal currently has.
     pub fn lit_value(&self, lit: Lit) -> LBool {
-        value_of(&self.assigns, lit)
+        self.values[lit.code()]
     }
 
     fn enqueue(&mut self, lit: Lit, reason: Option<ClauseId>) {
         let v = lit.var().index();
-        debug_assert!(self.assigns[v].is_undef(), "enqueue of assigned var");
-        self.assigns[v] = LBool::from(lit.is_positive());
+        debug_assert!(
+            self.values[lit.code()].is_undef(),
+            "enqueue of assigned var"
+        );
+        self.values[lit.code()] = LBool::True;
+        self.values[(!lit).code()] = LBool::False;
         self.level[v] = self.decision_level() as u32;
         self.reason[v] = reason;
         self.trail.push(lit);
@@ -397,7 +418,7 @@ impl Solver {
                 self.unit_id[v.index()] = Some(reason);
                 continue;
             }
-            let the_lit = Lit::new(v, self.assigns[v.index()] == LBool::True);
+            let the_lit = Lit::new(v, self.values[Lit::positive(v).code()] == LBool::True);
             let mut sources: Vec<u64> = Vec::with_capacity(lits.len());
             sources.push(reason.as_u64());
             for &l in lits {
@@ -408,7 +429,7 @@ impl Solver {
                     .expect("earlier level-0 vars already have unit clauses");
                 sources.push(u.as_u64());
             }
-            let id = self.db.add_learned(vec![the_lit]);
+            let id = self.db.add_learned(&[the_lit]);
             self.stats.learned_clauses += 1;
             self.stats.learned_literals += 1;
             sink.learned(id.as_u64(), &sources)?;
@@ -426,7 +447,8 @@ impl Solver {
         for i in (lim..self.trail.len()).rev() {
             let lit = self.trail[i];
             let v = lit.var();
-            self.assigns[v.index()] = LBool::Undef;
+            self.values[lit.code()] = LBool::Undef;
+            self.values[(!lit).code()] = LBool::Undef;
             if self.cfg.phase_saving {
                 self.phase[v.index()] = lit.is_positive();
             }
@@ -445,6 +467,7 @@ impl Solver {
 
     fn propagate(&mut self) -> Option<ClauseId> {
         let mut conflict = None;
+        let mut clause_visits = 0u64;
         while conflict.is_none() && self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
@@ -455,12 +478,13 @@ impl Solver {
             'watchers: while i < ws.len() {
                 let w = ws[i];
                 i += 1;
-                if value_of(&self.assigns, w.blocker) == LBool::True {
+                if self.values[w.blocker.code()] == LBool::True {
                     ws[j] = w;
                     j += 1;
                     continue;
                 }
                 let cid = w.clause;
+                clause_visits += 1;
                 let Some(lits) = self.db.literals_mut(cid) else {
                     // Tombstone of a deleted learned clause: drop watcher.
                     continue;
@@ -474,14 +498,14 @@ impl Solver {
                     clause: cid,
                     blocker: first,
                 };
-                if first != w.blocker && value_of(&self.assigns, first) == LBool::True {
+                if first != w.blocker && self.values[first.code()] == LBool::True {
                     ws[j] = keep;
                     j += 1;
                     continue;
                 }
                 // Find a replacement watch among the remaining literals.
                 for k in 2..lits.len() {
-                    if value_of(&self.assigns, lits[k]) != LBool::False {
+                    if self.values[lits[k].code()] != LBool::False {
                         lits.swap(1, k);
                         let moved = lits[1];
                         self.watches[moved.code()].push(keep);
@@ -491,23 +515,23 @@ impl Solver {
                 // Clause is unit or conflicting; the watcher stays.
                 ws[j] = keep;
                 j += 1;
-                if value_of(&self.assigns, first) == LBool::False {
+                if self.values[first.code()] == LBool::False {
                     conflict = Some(cid);
                     // Keep the remaining watchers and stop propagating.
-                    while i < ws.len() {
-                        ws[j] = ws[i];
-                        j += 1;
-                        i += 1;
-                    }
+                    ws.copy_within(i.., j);
+                    j += ws.len() - i;
                     self.qhead = self.trail.len();
-                } else {
-                    self.enqueue(first, Some(cid));
+                    break;
                 }
+                self.enqueue(first, Some(cid));
             }
+            // `i` counts the watchers examined, not the ones kept unread.
+            self.stats.watch_visits += i as u64;
             ws.truncate(j);
             debug_assert!(self.watches[false_lit.code()].is_empty());
             self.watches[false_lit.code()] = ws;
         }
+        self.stats.clause_visits += clause_visits;
         conflict
     }
 
@@ -522,13 +546,13 @@ impl Solver {
             && self.num_vars > 0
         {
             let v = Var::new((self.next_u64() % self.num_vars as u64) as usize);
-            if self.assigns[v.index()].is_undef() {
+            if self.values[Lit::positive(v).code()].is_undef() {
                 self.branch_on(v);
                 return true;
             }
         }
         while let Some(v) = self.order.pop_max(&self.activity) {
-            if self.assigns[v.index()].is_undef() {
+            if self.values[Lit::positive(v).code()].is_undef() {
                 self.branch_on(v);
                 return true;
             }
@@ -567,9 +591,10 @@ impl Solver {
 
     /// Analyzes a conflict at decision level > 0.
     ///
-    /// Returns the asserting clause (first literal = asserting literal,
-    /// second = a literal at the asserting level when present), the
-    /// resolve-source IDs in resolution order, and the asserting level.
+    /// Leaves the asserting clause in `self.learnt` (first literal = the
+    /// asserting literal, second = a literal at the asserting level when
+    /// present) and its resolve-source IDs, in resolution order, in
+    /// `self.sources`; returns the asserting level.
     ///
     /// Literals falsified at decision level 0 are **not** kept in the
     /// learned clause; instead the unit clause recorded for their
@@ -577,12 +602,18 @@ impl Solver {
     /// the resolve sources, so the learned clause remains the *exact*
     /// resolvent of its recorded sources — which is what the checker
     /// verifies.
-    fn analyze(&mut self, conflict: ClauseId) -> (Vec<Lit>, Vec<u64>, usize) {
+    fn analyze(&mut self, conflict: ClauseId) -> usize {
         let current = self.decision_level() as u32;
-        let mut learnt: Vec<Lit> = vec![Lit::from_code(0)]; // placeholder slot 0
-        let mut sources: Vec<u64> = vec![conflict.as_u64()];
-        let mut zero_sources: Vec<u64> = Vec::new();
-        let mut zero_vars: Vec<Var> = Vec::new();
+        let mut learnt = std::mem::take(&mut self.learnt);
+        let mut sources = std::mem::take(&mut self.sources);
+        let mut zero_sources = std::mem::take(&mut self.zero_sources);
+        let mut to_clear = std::mem::take(&mut self.to_clear);
+        learnt.clear();
+        learnt.push(Lit::from_code(0)); // placeholder slot 0
+        sources.clear();
+        sources.push(conflict.as_u64());
+        zero_sources.clear();
+        to_clear.clear();
         let mut path = 0usize;
         let mut idx = self.trail.len();
         let mut p: Option<Lit> = None;
@@ -600,7 +631,7 @@ impl Solver {
                     continue;
                 }
                 debug_assert_eq!(
-                    value_of(&self.assigns, q),
+                    self.values[q.code()],
                     LBool::False,
                     "all literals of a resolvent are false"
                 );
@@ -611,7 +642,7 @@ impl Solver {
                 } else if self.level[qv.index()] == 0 {
                     let u = self.unit_id[qv.index()].expect("level-0 vars have unit clauses");
                     zero_sources.push(u.as_u64());
-                    zero_vars.push(qv);
+                    to_clear.push(qv);
                 } else {
                     learnt.push(q);
                 }
@@ -640,9 +671,9 @@ impl Solver {
 
         // Resolving with the level-0 unit clauses happens after the main
         // chain; each such step removes exactly one false literal.
-        sources.extend(zero_sources);
+        sources.extend_from_slice(&zero_sources);
 
-        let cleanup: Vec<Var> = learnt[1..].iter().map(|l| l.var()).collect();
+        to_clear.extend(learnt[1..].iter().map(|l| l.var()));
         if self.cfg.minimize_learned {
             self.minimize(&mut learnt, &mut sources);
         }
@@ -661,13 +692,14 @@ impl Solver {
         if learnt.len() > 1 {
             learnt.swap(1, at);
         }
-        for v in cleanup {
+        for &v in &to_clear {
             self.seen[v.index()] = false;
         }
-        for v in zero_vars {
-            self.seen[v.index()] = false;
-        }
-        (learnt, sources, assert_level)
+        self.learnt = learnt;
+        self.sources = sources;
+        self.zero_sources = zero_sources;
+        self.to_clear = to_clear;
+        assert_level
     }
 
     /// Self-subsuming minimization: a literal can be dropped from the
@@ -678,13 +710,17 @@ impl Solver {
     /// the clause stays the exact resolvent of its source list.
     fn minimize(&mut self, learnt: &mut Vec<Lit>, sources: &mut Vec<u64>) {
         debug_assert!(learnt[1..].iter().all(|l| self.seen[l.var().index()]));
-        let mut removed = vec![]; // vars removed so far (unusable as support)
-        let mut kept = Vec::with_capacity(learnt.len());
-        kept.push(learnt[0]);
-        'literals: for &q in &learnt[1..] {
+        let mut removed = std::mem::take(&mut self.removed); // unusable as support
+        removed.clear();
+        // Kept literals are compacted in place into `learnt[1..kept]`;
+        // `seen` still marks every original literal.
+        let mut kept = 1;
+        'literals: for i in 1..learnt.len() {
+            let q = learnt[i];
             let v = q.var();
             let Some(reason) = self.reason[v.index()] else {
-                kept.push(q);
+                learnt[kept] = q;
+                kept += 1;
                 continue;
             };
             let lits = self.db.literals(reason).expect("reason clauses are live");
@@ -704,7 +740,8 @@ impl Solver {
                     self.seen[lv.index()] && !removed.contains(&lv)
                 };
                 if !supported {
-                    kept.push(q);
+                    learnt[kept] = q;
+                    kept += 1;
                     continue 'literals;
                 }
             }
@@ -712,7 +749,7 @@ impl Solver {
             // level-0 literals it introduced.
             removed.push(v);
             sources.push(reason.as_u64());
-            for &l in self.db.literals(reason).expect("live") {
+            for &l in lits {
                 let lv = l.var();
                 if lv != v && self.level[lv.index()] == 0 {
                     let u = self.unit_id[lv.index()].expect("checked above");
@@ -721,21 +758,22 @@ impl Solver {
             }
             self.stats.minimized_literals += 1;
         }
-        *learnt = kept;
+        learnt.truncate(kept);
+        self.removed = removed;
     }
 
     fn handle_conflict(&mut self, conflict: ClauseId, sink: &mut dyn TraceSink) -> io::Result<()> {
-        let (learnt, sources, assert_level) = self.analyze(conflict);
-        let asserting = learnt[0];
+        let assert_level = self.analyze(conflict);
+        let asserting = self.learnt[0];
 
-        let reason_id = if sources.len() >= 2 {
-            let len = learnt.len();
-            let id = self.db.add_learned(learnt.clone());
+        let reason_id = if self.sources.len() >= 2 {
+            let len = self.learnt.len();
+            let id = self.db.add_learned(&self.learnt);
             self.stats.learned_clauses += 1;
             self.stats.learned_literals += len as u64;
-            sink.learned(id.as_u64(), &sources)?;
+            sink.learned(id.as_u64(), &self.sources)?;
             if len >= 2 {
-                let (a, b) = (learnt[0], learnt[1]);
+                let (a, b) = (self.learnt[0], self.learnt[1]);
                 self.watches[a.code()].push(Watcher {
                     clause: id,
                     blocker: b,
@@ -792,8 +830,7 @@ impl Solver {
         let Some(&first) = lits.first() else {
             return false;
         };
-        value_of(&self.assigns, first) == LBool::True
-            && self.reason[first.var().index()] == Some(id)
+        self.values[first.code()] == LBool::True && self.reason[first.var().index()] == Some(id)
     }
 
     fn reduce_db(&mut self) {
@@ -828,8 +865,9 @@ impl Solver {
 
     fn extract_model(&self) -> Assignment {
         let mut model = Assignment::new(self.num_vars);
-        for (i, &v) in self.assigns.iter().enumerate() {
-            model.set(Var::new(i), v);
+        for i in 0..self.num_vars {
+            let v = Var::new(i);
+            model.set(v, self.values[Lit::positive(v).code()]);
         }
         model
     }
@@ -868,7 +906,7 @@ impl Solver {
         for (pos, &lit) in self.trail.iter().enumerate() {
             assert!(seen_vars.insert(lit.var()), "duplicate trail var {lit}");
             assert_eq!(
-                value_of(&self.assigns, lit),
+                self.values[lit.code()],
                 LBool::True,
                 "trail literal {lit} is not true"
             );
@@ -910,12 +948,10 @@ impl Solver {
                 if lits.len() < 2 || is_tautology(lits) {
                     continue;
                 }
-                let any_true = lits
-                    .iter()
-                    .any(|&l| value_of(&self.assigns, l) == LBool::True);
+                let any_true = lits.iter().any(|&l| self.values[l.code()] == LBool::True);
                 let unassigned = lits
                     .iter()
-                    .filter(|&&l| value_of(&self.assigns, l) == LBool::Undef)
+                    .filter(|&&l| self.values[l.code()] == LBool::Undef)
                     .count();
                 assert!(
                     any_true || unassigned >= 2 || self.finished_unsat(),
@@ -931,15 +967,6 @@ impl Solver {
     #[cfg(test)]
     fn finished_unsat(&self) -> bool {
         matches!(self.finished, Some(SolveResult::Unsatisfiable))
-    }
-}
-
-fn value_of(assigns: &[LBool], lit: Lit) -> LBool {
-    let v = assigns[lit.var().index()];
-    if lit.is_positive() {
-        v
-    } else {
-        !v
     }
 }
 

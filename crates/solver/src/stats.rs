@@ -45,6 +45,11 @@ pub struct SolverStats {
     /// Literals removed from learned clauses by self-subsuming
     /// minimization (each removal is a recorded resolution).
     pub minimized_literals: u64,
+    /// Watch-list entries examined by propagation (blocker hits included).
+    pub watch_visits: u64,
+    /// Watch-list entries whose clause propagation had to dereference
+    /// (the blocker was not true), tombstones included.
+    pub clause_visits: u64,
 }
 
 impl SolverStats {
@@ -58,6 +63,8 @@ impl SolverStats {
     }
 }
 
+/// The `c decisions=…` line the CLI prints; the BCP visit counters are
+/// left out so the line stays as scripts parse it.
 impl fmt::Display for SolverStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(

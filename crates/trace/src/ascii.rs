@@ -170,70 +170,77 @@ impl<R: BufRead> AsciiReader<R> {
             buf: String::new(),
         }
     }
+}
 
-    fn bad(&self, msg: impl Into<String>) -> io::Error {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("trace line {}: {}", self.line_no, msg.into()),
-        )
-    }
+fn bad(line_no: usize, msg: impl Into<String>) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("trace line {}: {}", line_no, msg.into()),
+    )
+}
 
-    fn parse_line(&self, line: &str) -> io::Result<Option<TraceEvent>> {
-        let mut tokens = line.split_whitespace();
-        let Some(tag) = tokens.next() else {
-            return Ok(None);
-        };
-        match tag {
-            "c" => Ok(None),
-            "r" => {
-                let id = self.parse_u64(tokens.next(), "clause id")?;
-                let count = self.parse_u64(tokens.next(), "source count")? as usize;
-                if count < 2 {
-                    return Err(self.bad("learned clause needs at least two resolve sources"));
-                }
-                let mut sources = Vec::with_capacity(count);
-                for _ in 0..count {
-                    sources.push(self.parse_u64(tokens.next(), "source id")?);
-                }
-                if tokens.next().is_some() {
-                    return Err(self.bad("trailing tokens in r record"));
-                }
-                Ok(Some(TraceEvent::Learned { id, sources }))
+fn parse_u64(token: Option<&str>, what: &str, line_no: usize) -> io::Result<u64> {
+    let t = token.ok_or_else(|| bad(line_no, format!("missing {what}")))?;
+    t.parse()
+        .map_err(|_| bad(line_no, format!("invalid {what} {t:?}")))
+}
+
+/// Parses one line of an ASCII trace: `Ok(None)` for a comment or blank
+/// line. Errors name `line_no`.
+pub(crate) fn parse_line(line: &str, line_no: usize) -> io::Result<Option<TraceEvent>> {
+    let mut tokens = line.split_whitespace();
+    let Some(tag) = tokens.next() else {
+        return Ok(None);
+    };
+    match tag {
+        "c" => Ok(None),
+        "r" => {
+            let id = parse_u64(tokens.next(), "clause id", line_no)?;
+            let count = parse_u64(tokens.next(), "source count", line_no)? as usize;
+            if count < 2 {
+                return Err(bad(
+                    line_no,
+                    "learned clause needs at least two resolve sources",
+                ));
             }
-            "v" => {
-                let lit_tok = tokens
-                    .next()
-                    .ok_or_else(|| self.bad("missing literal in v record"))?;
-                let d: i64 = lit_tok
-                    .parse()
-                    .map_err(|_| self.bad(format!("invalid literal {lit_tok:?}")))?;
-                if d == 0 {
-                    return Err(self.bad("literal in v record must be non-zero"));
-                }
-                let antecedent = self.parse_u64(tokens.next(), "antecedent id")?;
-                if tokens.next().is_some() {
-                    return Err(self.bad("trailing tokens in v record"));
-                }
-                Ok(Some(TraceEvent::LevelZero {
-                    lit: Lit::from_dimacs(d),
-                    antecedent,
-                }))
+            // Each source takes at least one byte of the line: bound the
+            // reservation by it, not by the count the line claims.
+            let mut sources = Vec::with_capacity(count.min(line.len()));
+            for _ in 0..count {
+                sources.push(parse_u64(tokens.next(), "source id", line_no)?);
             }
-            "f" => {
-                let id = self.parse_u64(tokens.next(), "clause id")?;
-                if tokens.next().is_some() {
-                    return Err(self.bad("trailing tokens in f record"));
-                }
-                Ok(Some(TraceEvent::FinalConflict { id }))
+            if tokens.next().is_some() {
+                return Err(bad(line_no, "trailing tokens in r record"));
             }
-            other => Err(self.bad(format!("unknown record tag {other:?}"))),
+            Ok(Some(TraceEvent::Learned { id, sources }))
         }
-    }
-
-    fn parse_u64(&self, token: Option<&str>, what: &str) -> io::Result<u64> {
-        let t = token.ok_or_else(|| self.bad(format!("missing {what}")))?;
-        t.parse()
-            .map_err(|_| self.bad(format!("invalid {what} {t:?}")))
+        "v" => {
+            let lit_tok = tokens
+                .next()
+                .ok_or_else(|| bad(line_no, "missing literal in v record"))?;
+            let d: i64 = lit_tok
+                .parse()
+                .map_err(|_| bad(line_no, format!("invalid literal {lit_tok:?}")))?;
+            if d == 0 {
+                return Err(bad(line_no, "literal in v record must be non-zero"));
+            }
+            let antecedent = parse_u64(tokens.next(), "antecedent id", line_no)?;
+            if tokens.next().is_some() {
+                return Err(bad(line_no, "trailing tokens in v record"));
+            }
+            Ok(Some(TraceEvent::LevelZero {
+                lit: Lit::from_dimacs(d),
+                antecedent,
+            }))
+        }
+        "f" => {
+            let id = parse_u64(tokens.next(), "clause id", line_no)?;
+            if tokens.next().is_some() {
+                return Err(bad(line_no, "trailing tokens in f record"));
+            }
+            Ok(Some(TraceEvent::FinalConflict { id }))
+        }
+        other => Err(bad(line_no, format!("unknown record tag {other:?}"))),
     }
 }
 
@@ -249,8 +256,7 @@ impl<R: BufRead> Iterator for AsciiReader<R> {
                 Ok(_) => {}
                 Err(e) => return Some(Err(e)),
             }
-            let line = std::mem::take(&mut self.buf);
-            match self.parse_line(&line) {
+            match parse_line(&self.buf, self.line_no) {
                 Ok(Some(event)) => return Some(Ok(event)),
                 Ok(None) => continue,
                 Err(e) => return Some(Err(e)),
@@ -349,6 +355,8 @@ mod tests {
             "f 1 2\n",       // trailing token
             "q 1\n",         // unknown tag
             "r 1 2 y 0\n",   // bad source
+            // A huge declared count is an error, not a huge reservation.
+            "r 5 1000000000000000 1 2\n",
         ] {
             let result: io::Result<Vec<_>> = AsciiReader::new(io::Cursor::new(bad)).collect();
             assert!(result.is_err(), "should reject {bad:?}");

@@ -214,22 +214,47 @@ fn binary_event_len(event: &TraceEvent) -> u64 {
 struct FileCursor {
     reader: BufReader<File>,
     format: TraceFormat,
+    /// The byte position `reader` reads next, when known (a failed fetch
+    /// forgets it). Lets a fetch whose record is already buffered move
+    /// within the buffer instead of discarding it.
+    pos: Option<u64>,
+    /// Line buffer reused across ASCII fetches.
+    line: String,
+}
+
+impl FileCursor {
+    fn seek_to(&mut self, offset: u64) -> io::Result<()> {
+        let delta = self
+            .pos
+            .and_then(|pos| Some(i64::try_from(offset).ok()? - i64::try_from(pos).ok()?));
+        self.pos = None;
+        match delta {
+            Some(delta) => self.reader.seek_relative(delta),
+            None => self.reader.seek(SeekFrom::Start(offset)).map(drop),
+        }
+    }
 }
 
 impl TraceCursor for FileCursor {
     fn event_at(&mut self, offset: u64) -> io::Result<TraceEvent> {
-        self.reader.seek(SeekFrom::Start(offset))?;
+        self.seek_to(offset)?;
         match self.format {
-            TraceFormat::Binary => read_binary_event_here(&mut self.reader),
+            TraceFormat::Binary => {
+                let event = read_binary_event_here(&mut self.reader)?;
+                // Exact even for non-minimal varints, which a computed
+                // record length would miss.
+                self.pos = Some(self.reader.stream_position()?);
+                Ok(event)
+            }
             TraceFormat::Ascii => {
-                let mut line = String::new();
-                self.reader.read_line(&mut line)?;
-                let mut reader = crate::AsciiReader::new(io::Cursor::new(line));
-                reader.next().unwrap_or_else(|| {
-                    Err(io::Error::new(
+                self.line.clear();
+                let read = self.reader.read_line(&mut self.line)?;
+                self.pos = Some(offset + read as u64);
+                crate::ascii::parse_line(&self.line, 1)?.ok_or_else(|| {
+                    io::Error::new(
                         io::ErrorKind::InvalidData,
                         "offset does not address an event record",
-                    ))
+                    )
                 })
             }
         }
@@ -331,12 +356,14 @@ impl RandomAccessTrace for FileTrace {
                 return Ok(Box::new(MapCursor { data: map.bytes() }));
             }
         }
-        // Deliberately the small default capacity: every `event_at` seek
-        // discards the buffer, so a large one would re-read far more than
-        // the single record being fetched.
+        // Deliberately the small default capacity: a fetch outside the
+        // buffer refills it from the record's offset, so a large one would
+        // re-read far more than the single record being fetched.
         Ok(Box::new(FileCursor {
             reader: BufReader::new(File::open(self.path())?),
             format: self.format(),
+            pos: None,
+            line: String::new(),
         }))
     }
 }
@@ -547,6 +574,91 @@ mod tests {
         let clone = mapped.clone();
         assert!(clone.established_map().is_some());
         check_random_access(&clone, &sample());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A trace several read buffers long, so positioned reads cross
+    /// buffer refills in both directions.
+    fn long_sample() -> Vec<TraceEvent> {
+        let mut events = Vec::new();
+        for i in 0..3000u64 {
+            events.push(TraceEvent::Learned {
+                id: 1000 + i,
+                sources: (0..(i % 7) + 2).map(|k| i * 31 + k * 977).collect(),
+            });
+            if i % 10 == 0 {
+                events.push(TraceEvent::LevelZero {
+                    lit: Lit::from_dimacs(-(i as i64 % 90 + 1)),
+                    antecedent: 1000 + i,
+                });
+            }
+        }
+        events.push(TraceEvent::FinalConflict { id: 3999 });
+        events
+    }
+
+    /// Positioned reads in an order that mixes forward and backward
+    /// steps, near and far jumps, and repeats must decode exactly what
+    /// sequential decoding does.
+    fn assert_positioned_reads_match_sequential(trace: &FileTrace, expected: &[TraceEvent]) {
+        let sequential: Vec<TraceEvent> = trace
+            .events_iter()
+            .unwrap()
+            .collect::<io::Result<_>>()
+            .unwrap();
+        assert_eq!(sequential, expected);
+        let pairs: Vec<(u64, TraceEvent)> = trace
+            .offset_events()
+            .unwrap()
+            .collect::<io::Result<_>>()
+            .unwrap();
+        let n = pairs.len();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.extend((0..n).rev());
+        order.extend((0..n).map(|i| (i * 7919) % n));
+        order.extend((0..n).flat_map(|i| [i, i, i.saturating_sub(3)]));
+        let mut cursor = trace.open_cursor().unwrap();
+        for i in order {
+            let (offset, _) = pairs[i];
+            assert_eq!(
+                cursor.event_at(offset).unwrap(),
+                sequential[i],
+                "record {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn positioned_ascii_reads_equal_sequential_decode() {
+        let path = tmp_path("positioned.rt");
+        let mut text = String::from("c header comment\n");
+        for (i, e) in long_sample().iter().enumerate() {
+            text.push_str(&e.to_string());
+            text.push('\n');
+            if i % 13 == 0 {
+                text.push_str("c interleaved\n\n");
+            }
+        }
+        std::fs::write(&path, text).unwrap();
+        let trace = FileTrace::open(&path).unwrap();
+        assert_positioned_reads_match_sequential(&trace, &long_sample());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn positioned_binary_reads_equal_sequential_decode() {
+        let path = tmp_path("positioned.rtb");
+        {
+            let mut w = BinaryWriter::new(std::fs::File::create(&path).unwrap()).unwrap();
+            for e in long_sample() {
+                w.event(&e).unwrap();
+            }
+            w.flush().unwrap();
+        }
+        // Unmapped: the positioned-read cursor, not the map.
+        let trace = FileTrace::open(&path).unwrap();
+        assert!(trace.established_map().is_none());
+        assert_positioned_reads_match_sequential(&trace, &long_sample());
         std::fs::remove_file(&path).ok();
     }
 

@@ -362,7 +362,7 @@ fn cmd_solve(rest: &[String]) -> CliResult {
     // With `--trace` the events are collected in memory and encoded in a
     // separate phase, so the solve and trace-encode timers stay distinct
     // (mirroring the paper's Table 1 methodology).
-    let solve_phase = Phase::start("solve", &mut obs);
+    let solve_phase = Phase::start("solve:search", &mut obs);
     let (result, events) = match &trace_path {
         Some(_) => {
             let mut sink = MemorySink::new();

@@ -407,24 +407,133 @@ fn solve_metrics_and_progress_report_trace_encoding() {
 
     let text = std::fs::read_to_string(&metrics_path).unwrap();
     let doc = rescheck_obs::json::parse(&text).unwrap();
-    for phase in ["parse", "solve", "trace-encode"] {
+    for phase in ["parse", "solve:search", "trace-encode"] {
         assert!(
             doc.path("phases").and_then(|p| p.get(phase)).is_some(),
             "missing phase {phase}: {text}"
         );
     }
-    let conflicts = doc
-        .path("counters")
-        .and_then(|c| c.get("solver.conflicts"))
-        .and_then(|j| j.as_u64())
-        .unwrap();
-    assert!(conflicts > 0);
+    let counter = |name: &str| {
+        doc.path("counters")
+            .and_then(|c| c.get(name))
+            .and_then(|j| j.as_u64())
+            .unwrap_or_else(|| panic!("missing counter {name}: {text}"))
+    };
+    assert!(counter("solver.conflicts") > 0);
+    // Every dereferenced clause was reached through a watch-list entry.
+    let clause_visits = counter("solver.clause_visits");
+    assert!(clause_visits > 0);
+    assert!(counter("solver.watch_visits") >= clause_visits);
     let bytes = doc
         .path("gauges")
         .and_then(|g| g.get("trace.bytes_written"))
         .and_then(|j| j.as_f64())
         .unwrap();
     assert_eq!(bytes as u64, std::fs::metadata(&trace_path).unwrap().len());
+}
+
+/// Collects the names of the leaf spans (no children) under `node`.
+fn leaf_span_names(node: &rescheck_obs::Json, out: &mut Vec<String>) {
+    match node.get("children") {
+        Some(rescheck_obs::Json::Array(kids)) if !kids.is_empty() => {
+            for kid in kids {
+                leaf_span_names(kid, out);
+            }
+        }
+        _ => {
+            let name = node.get("name").and_then(|j| j.as_str()).unwrap();
+            if !out.iter().any(|n| n == name) {
+                out.push(name.to_string());
+            }
+        }
+    }
+}
+
+#[test]
+fn leaf_phases_fit_in_the_root_span_for_every_command() {
+    let dir = tmp_dir("leaf-phases");
+    let cnf = dir.join("php.cnf");
+    let trace = dir.join("php.rt");
+    let out = bin().args(["gen", "pigeonhole", "5"]).output().unwrap();
+    std::fs::write(&cnf, out.stdout).unwrap();
+    let out = bin()
+        .arg("solve")
+        .arg(&cnf)
+        .arg("--trace")
+        .arg(&trace)
+        .arg("--binary")
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(20), "{out:?}");
+    let (cnf, trace) = (cnf.to_str().unwrap(), trace.to_str().unwrap());
+    let proof = dir.join("php.lrat");
+    let trimmed = dir.join("php.trim.rt");
+    let commands: Vec<(&str, Vec<&str>)> = vec![
+        ("solve", vec!["solve", cnf]),
+        ("solve", vec!["solve", cnf, "--trace", trace, "--binary"]),
+        ("check", vec!["check", cnf, trace, "--strategy", "df"]),
+        ("check", vec!["check", cnf, trace, "--strategy", "bf"]),
+        ("check", vec!["check", cnf, trace, "--strategy", "dfd"]),
+        ("check", vec!["check", cnf, trace, "--strategy", "pdag"]),
+        (
+            "export",
+            vec!["export", cnf, trace, "--out", proof.to_str().unwrap()],
+        ),
+        ("core", vec!["core", cnf]),
+        (
+            "trim",
+            vec!["trim", cnf, trace, "--out", trimmed.to_str().unwrap()],
+        ),
+        ("stats", vec!["stats", cnf, trace]),
+        (
+            "fuzz",
+            vec!["fuzz", "--seed", "1", "--iters", "2", "--quiet"],
+        ),
+    ];
+    for (i, (root_name, args)) in commands.iter().enumerate() {
+        let metrics = dir.join(format!("m{i}.json"));
+        let out = bin()
+            .args(args)
+            .arg("--metrics-out")
+            .arg(&metrics)
+            .output()
+            .unwrap();
+        assert!(
+            matches!(out.status.code(), Some(0 | 10 | 20)),
+            "{args:?}: {out:?}"
+        );
+        let text = std::fs::read_to_string(&metrics).unwrap();
+        let doc = rescheck_obs::json::parse(&text).unwrap();
+        let Some(rescheck_obs::Json::Array(roots)) = doc.path("spans") else {
+            panic!("{args:?}: no span tree: {text}");
+        };
+        let root = roots
+            .iter()
+            .find(|s| s.get("name").and_then(|j| j.as_str()) == Some(*root_name))
+            .unwrap_or_else(|| panic!("{args:?}: no root span {root_name}: {text}"));
+        let wall = root.get("wall_seconds").and_then(|j| j.as_f64()).unwrap();
+        let mut leaves = Vec::new();
+        leaf_span_names(root, &mut leaves);
+        // A phase named like its root would add the root's whole wall
+        // time to the leaf's.
+        assert!(
+            !leaves.iter().any(|n| n == root_name),
+            "{args:?}: a leaf phase shares the root's name: {text}"
+        );
+        let leaf_sum: f64 = leaves
+            .iter()
+            .map(|n| {
+                doc.path("phases")
+                    .and_then(|p| p.get(n))
+                    .and_then(|j| j.as_f64())
+                    .unwrap_or_else(|| panic!("{args:?}: no phase timer {n}: {text}"))
+            })
+            .sum();
+        assert!(
+            leaf_sum <= wall + 1e-6,
+            "{args:?}: leaf phases {leaves:?} sum to {leaf_sum} s, root {root_name} ran {wall} s: {text}"
+        );
+    }
 }
 
 #[test]

@@ -99,3 +99,55 @@ fn pipe_ladder_orders_the_strategies() {
     // Long resolve chains: dozens of sources per learned clause.
     assert_ladder(&workloads::pipeline::pipe(8, 4), "pipe_8_4");
 }
+
+/// Accounted bytes of one cached normalized original clause: the
+/// checker charges 24 bytes plus 4 per distinct literal.
+fn cached_clause_bytes(cnf: &Cnf, id: usize) -> u64 {
+    let mut lits: Vec<Lit> = cnf.clause(id).unwrap().to_vec();
+    lits.sort_unstable();
+    lits.dedup();
+    24 + 4 * lits.len() as u64
+}
+
+/// Depth-first walks never free a built clause, and an unlimited run
+/// never evicts a cached original, so both the mandatory bytes and the
+/// cache only grow: the mandatory peak is the unlimited peak minus the
+/// bytes of every cached core clause. At that budget the cache is full
+/// when the last clause is built, and must yield its bytes rather than
+/// fail the check.
+fn assert_cache_yields_to_mandatory_charges(instance: &Instance, name: &str) {
+    let path = binary_trace(instance, name);
+    let trace = FileTrace::open(&path).unwrap();
+    for strategy in [Strategy::DepthFirst, Strategy::DiskDepthFirst] {
+        let unlimited = check_unsat_claim(&instance.cnf, &trace, strategy, &CheckConfig::default())
+            .unwrap_or_else(|e| panic!("{name} {strategy}: {e}"));
+        let core = unlimited.core.expect("depth-first reports a core");
+        let cached: u64 = core
+            .clause_ids
+            .iter()
+            .map(|&id| cached_clause_bytes(&instance.cnf, id))
+            .sum();
+        let mandatory = unlimited.stats.peak_memory_bytes - cached;
+        assert!(
+            passes(&instance.cnf, &trace, strategy, mandatory),
+            "{name} {strategy}: must pass at its mandatory peak {mandatory} \
+             ({cached} of {} peak bytes are cached originals)",
+            unlimited.stats.peak_memory_bytes
+        );
+        assert!(
+            !passes(&instance.cnf, &trace, strategy, mandatory - 1),
+            "{name} {strategy}: must memory-out below its mandatory peak {mandatory}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn pigeonhole_depth_first_passes_at_its_mandatory_peak_with_the_cache_full() {
+    assert_cache_yields_to_mandatory_charges(&workloads::pigeonhole::instance(6), "php6-cache");
+}
+
+#[test]
+fn pipe_depth_first_passes_at_its_mandatory_peak_with_the_cache_full() {
+    assert_cache_yields_to_mandatory_charges(&workloads::pipeline::pipe(8, 4), "pipe_8_4-cache");
+}
